@@ -196,13 +196,14 @@ class GridMatrices:
     _red_lu: tuple = field(default=None, repr=False)
 
     def angles(self, injection_mw: np.ndarray, base_mva: float) -> np.ndarray:
-        """Bus voltage angles (rad) for a balanced MW injection vector."""
+        """Bus voltage angles (rad) for a balanced MW injection vector, or
+        for each column of an (N, k) matrix of them."""
         p = np.asarray(injection_mw, dtype=float) / base_mva
-        keep = np.arange(p.size) != self.ref_index
+        keep = np.arange(p.shape[0]) != self.ref_index
         if self._red_lu is None:
             self._red_lu = lu_factor(self.reduced_b)
         th_red = lu_backsolve(*self._red_lu, p[keep])
-        theta = np.zeros(p.size)
+        theta = np.zeros(p.shape)
         theta[keep] = th_red
         return theta
 

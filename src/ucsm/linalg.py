@@ -1,8 +1,8 @@
 """Dense LU factorization with partial pivoting.
 
-Used for the reduced susceptance matrix solves (voltage angles from net
-injections) and for basis refactorization in the simplex solver. Systems are
-desk scale, so a dense factorization is deliberate.
+Used for the reduced susceptance matrix: the PTDF build and the voltage
+angle solves from net injections. Systems are desk scale, so a dense
+factorization is deliberate.
 """
 
 from __future__ import annotations

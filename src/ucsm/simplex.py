@@ -1,7 +1,7 @@
 """Bounded-variable two-phase revised simplex solver.
 
 Dense implementation with an explicitly maintained basis inverse (rank-1
-eta updates, periodic refactorization through the LU module). Pivoting uses
+eta updates, periodic refactorization by ``np.linalg.inv``). Pivoting uses
 a Dantzig rule and falls back to Bland's rule after 2*(m+n) iterations to
 guarantee termination on cycling instances.
 
@@ -321,7 +321,6 @@ def solve_lp(
         t.art_sign = np.ones(m)
         r = t.nonbasic_rhs()
         t.basis = np.empty(m, dtype=int)
-        t.art_sign = np.ones(m)
         for i in range(m):
             if i >= m_eq and r[i] >= 0:
                 t.basis[i] = ns + (i - m_eq)
@@ -485,35 +484,24 @@ def solve_lp(
         sol = assemble(LpStatus.INFEASIBLE)
         return sol
 
-    # Drive remaining artificials out of the basis; redundant rows keep a
+    # Drive remaining artificials out of the basis (the refactorization
+    # rebuilds the inverse and the basic values); redundant rows keep a
     # fixed artificial pinned at zero.
     art_start = ns + nk
     for r_i in range(m):
         if t.basis[r_i] < art_start:
             continue
-        pivoted = False
         for j in range(ns + nk):
             if t.status[j] == _BASIC:
                 continue
-            w = t.binv[r_i] @ t.col(j)
-            if abs(w) > 1e-7:
-                full_w = t.binv @ t.col(j)
+            if abs(t.binv[r_i] @ t.col(j)) > 1e-7:
                 old = t.basis[r_i]
                 t.basis[r_i] = j
-                enter_val = t.xb[r_i] = t.xval[j]
                 t.status[old] = _AT_LO
                 t.xval[old] = 0.0
                 t.status[j] = _BASIC
-                t.binv[r_i, :] /= full_w[r_i]
-                others = np.arange(m) != r_i
-                t.binv[others, :] -= np.outer(full_w[others], t.binv[r_i, :])
                 t.refactor()
-                pivoted = True
                 break
-        if not pivoted:
-            art = t.basis[r_i]
-            t.hi[art] = 0.0
-    t.hi[art_start:] = np.where(t.status[art_start:] == _BASIC, t.hi[art_start:], 0.0)
     t.hi[art_start:] = 0.0
 
     out = run_phase(c_phase2, 2)

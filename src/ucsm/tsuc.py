@@ -141,8 +141,9 @@ class _Milp:
     """Compact TSUC MILP: columns [u, y, z, delta], rows built on demand.
 
     Eager rows: transition logic, min-up/min-down, per-(s,t) system balance,
-    and the capacity link sum(delta) <= (pmax - pmin) u. Lazy families (ramp,
-    line-flow or surrogate rows) are materialized only when violated.
+    and the capacity link sum(delta) <= (pmax - pmin) u. Lazy families (the
+    exact capacity link and the dispatch table's ramp, line-flow or
+    surrogate rows) are materialized only when violated.
     """
 
     def __init__(self, inst: TsucInstance, mats: GridMatrices | None = None):
@@ -173,7 +174,9 @@ class _Milp:
 
         self.pmin = np.array([g.p_min for g in case.generators])
         self.pmax = np.array([g.p_max for g in case.generators])
+        self.pmin_tg = np.tile(self.pmin, T)  # per hour-major dispatch entry
         self.widths = np.array([c.widths for c in self.curves])  # (G, K)
+        self.slopes = np.array([c.slopes for c in self.curves])  # (G, K)
 
         # Scenario data.
         self.wind_total = np.array([
@@ -192,6 +195,7 @@ class _Milp:
         self._build_objective()
         self._build_bounds()
         self._build_eager_rows()
+        self._build_dispatch_rows()
 
         counts = constraint_counts(case.n_lines, S, T)
         self.flow_row_count = counts["full_rows"] if mode is TsucMode.FULL_NETWORK else 0
@@ -239,13 +243,13 @@ class _Milp:
                     hi[self.d_cols(g, s, t)] = self.widths[g]
         self.lo, self.hi = lo, hi
 
-    def _expand_p_row(self, row: np.ndarray, coeff: np.ndarray, s: int, t: int):
-        """Add coeff_g * p_{g,s,t} to a row via p = pmin*u + sum(delta)."""
-        for g in range(self.G):
-            if coeff[g] == 0.0:
-                continue
-            row[self.u_col(g, t)] += coeff[g] * self.pmin[g]
-            row[self.d_cols(g, s, t)] += coeff[g]
+    def _p_row(self, coef: np.ndarray, s: int) -> np.ndarray:
+        """Full-width row of coef @ p_s via p = pmin*u + sum(delta)."""
+        row = np.zeros(self.ncols)
+        row[:self.n_u] = coef * self.pmin_tg
+        base = self.off_d + s * self.n_u * self.K
+        row[base:base + self.n_u * self.K] = np.repeat(coef, self.K)
+        return row
 
     def _build_eager_rows(self):
         inst, case = self.inst, self.inst.case
@@ -312,9 +316,9 @@ class _Milp:
         a_eq, b_eq = [], []
         for s in range(S):
             for t in range(T):
-                row = np.zeros(self.ncols)
-                self._expand_p_row(row, np.ones(G), s, t)
-                a_eq.append(row)
+                hour = np.zeros(self.n_u)
+                hour[t * G:(t + 1) * G] = 1.0
+                a_eq.append(self._p_row(hour, s))
                 b_eq.append(self.load_total[s, t] - self.wind_total[s, t])
 
         self.a_le = np.array(a_le)
@@ -322,33 +326,96 @@ class _Milp:
         self.a_eq = np.array(a_eq)
         self.b_eq = np.array(b_eq)
 
+    def _build_dispatch_rows(self):
+        """One table of the per-scenario dispatch rows, shared by lazy
+        separation and the dispatch LP.
+
+        Row r reads coef[r] @ p_s <= rhs[s, r] over scenario s's hour-major
+        dispatch p_s[t*G + g]: ramp-up and ramp-down for t >= 1, then the
+        line-flow rows (full mode) or the learned halfspace (surrogate
+        mode). It is violated beyond tol[r], and enters the lazy pool under
+        key row_key[r] + (s, row_t[r]). Rows sharing a key prefix are
+        consecutive and ordered by hour; row_group numbers the prefixes.
+        """
+        inst, case = self.inst, self.inst.case
+        G, S, T = self.G, self.S, self.T
+        coef, rhs, tol, keys, hours, group = [], [], [], [], [], []
+
+        def add(key, t, c, b, eps):
+            group.append(group[-1] + (key != keys[-1]) if keys else 0)
+            coef.append(c.ravel())
+            rhs.append(np.broadcast_to(b, (S,)))
+            tol.append(eps)
+            keys.append(key)
+            hours.append(t)
+
+        # Ramps: p_t - p_{t-1} <= RU; p_{t-1} - p_t <= RD.
+        for name, sign in (("ru", 1.0), ("rd", -1.0)):
+            for g, gen in enumerate(case.generators):
+                limit = gen.ramp_up if sign > 0 else gen.ramp_down
+                for t in range(1, T):
+                    c = np.zeros((T, G))
+                    c[t, g], c[t - 1, g] = sign, -sign
+                    add((name, g), t, c, float(limit), FLOW_TOL_MW)
+
+        if inst.mode is TsucMode.FULL_NETWORK:
+            # sign * flow <= limit, flow = PTDF (wind - load + gen injections).
+            base = np.einsum("lb,sbt->lst", self.mats.ptdf,
+                             self.wind_bus - self.load_bus)
+            gcoef = self.mats.ptdf[:, self.gen_bus]  # (L, G)
+            for sign in (1.0, -1.0):
+                for li, limit in enumerate(case.line_limits):
+                    for t in range(T):
+                        c = np.zeros((T, G))
+                        c[t] = sign * gcoef[li]
+                        add(("f", int(sign), li), t, c,
+                            limit - sign * base[li, :, t], FLOW_TOL_MW)
+        else:
+            # Learned halfspace w @ [mu, sigma, p_t] + b >= 0, written as
+            # -w_p @ p_t <= const + SURROGATE_TOL.
+            h = inst.hyperplane
+            W = case.n_wind
+            w_p = h.weights_physical[2 * W:]
+            const = np.array([
+                float(h.weights_physical[:W] @ scen.mu
+                      + h.weights_physical[W:2 * W] @ scen.sigma
+                      + h.bias_physical)
+                for scen in inst.scenarios
+            ])
+            for t in range(T):
+                c = np.zeros((T, G))
+                c[t] = -w_p
+                add(("svm",), t, c, const + SURROGATE_TOL, 0.0)
+
+        self.row_coef = np.array(coef).reshape(-1, T * G)
+        self.row_rhs = np.array(rhs).reshape(-1, S).T  # (S, R)
+        self.row_tol = np.array(tol)
+        self.row_key = keys
+        self.row_t = hours
+        self.row_group = np.array(group, dtype=int)
+
     # -- lazy families -----------------------------------------------------
+
+    def _p(self, x: np.ndarray) -> np.ndarray:
+        """(S, T*G) hour-major dispatch implied by a column vector."""
+        d = x[self.off_d:].reshape(self.S, self.n_u, self.K).sum(axis=2)
+        return self.pmin_tg * x[:self.n_u] + d
 
     def dispatch_of(self, x: np.ndarray) -> np.ndarray:
         """(G, S, T) dispatch implied by a column vector."""
-        u = x[:self.n_u].reshape(self.T, self.G).T  # (G, T)
-        d = x[self.off_d:].reshape(self.S, self.T, self.G, self.K)
-        return self.pmin[:, None, None] * u[:, None, :] + d.sum(axis=3).transpose(2, 0, 1)
+        return self._p(x).reshape(self.S, self.T, self.G).transpose(2, 0, 1)
 
-    def flows_of(self, p: np.ndarray) -> np.ndarray:
-        """(L, S, T) line flows for a (G, S, T) dispatch."""
-        inj = self.wind_bus - self.load_bus  # (S, N, T)
-        inj = inj.copy()
-        for g in range(self.G):
-            inj[:, self.gen_bus[g], :] += p[g]
-        return np.einsum("lb,sbt->lst", self.mats.ptdf, inj)
-
-    def violated_lazy_rows(self, x: np.ndarray, tol: float = FLOW_TOL_MW):
+    def violated_lazy_rows(self, x: np.ndarray):
         """(key, row, rhs) for every not-yet-active violated lazy row."""
-        inst, case = self.inst, self.inst.case
-        p = self.dispatch_of(x)
+        p = self._p(x)
         out = []
 
         # Exact capacity link: sum_k delta <= (pmax - pmin) u per (g, s, t).
+        pg = p.reshape(self.S, self.T, self.G).transpose(2, 0, 1)
         u = x[:self.n_u].reshape(self.T, self.G).T
-        excess = (p - self.pmin[:, None, None] * u[:, None, :]
+        excess = (pg - self.pmin[:, None, None] * u[:, None, :]
                   - (self.pmax - self.pmin)[:, None, None] * u[:, None, :])
-        for g, s, t in zip(*np.nonzero(excess > tol)):
+        for g, s, t in zip(*np.nonzero(excess > FLOW_TOL_MW)):
             key = ("cap", g, s, t)
             if key not in self.lazy_keys:
                 row = np.zeros(self.ncols)
@@ -356,58 +423,15 @@ class _Milp:
                 row[self.u_col(g, t)] = -(self.pmax[g] - self.pmin[g])
                 out.append((key, row, 0.0))
 
-        # Ramps, t >= 2: p_t - p_{t-1} <= RU; p_{t-1} - p_t <= RD.
-        ru = np.array([g.ramp_up for g in case.generators])
-        rd = np.array([g.ramp_down for g in case.generators])
-        dp = p[:, :, 1:] - p[:, :, :-1]  # (G, S, T-1)
-        for g, s, i in zip(*np.nonzero(dp > ru[:, None, None] + tol)):
-            key = ("ru", g, s, i + 1)
+        # Dispatch-table hits, pooled in (key prefix, scenario, hour) order:
+        # the pool's row order steers the simplex's tie-breaking.
+        ss, rs = np.nonzero(p @ self.row_coef.T - self.row_rhs > self.row_tol)
+        for i in np.lexsort((rs, ss, self.row_group[rs])):
+            s, r = ss[i], rs[i]
+            key = self.row_key[r] + (s, self.row_t[r])
             if key not in self.lazy_keys:
-                row = np.zeros(self.ncols)
-                self._expand_p_row(row, _unit(self.G, g), s, i + 1)
-                self._expand_p_row(row, -_unit(self.G, g), s, i)
-                out.append((key, row, float(ru[g])))
-        for g, s, i in zip(*np.nonzero(-dp > rd[:, None, None] + tol)):
-            key = ("rd", g, s, i + 1)
-            if key not in self.lazy_keys:
-                row = np.zeros(self.ncols)
-                self._expand_p_row(row, -_unit(self.G, g), s, i + 1)
-                self._expand_p_row(row, _unit(self.G, g), s, i)
-                out.append((key, row, float(rd[g])))
-
-        if inst.mode is TsucMode.FULL_NETWORK:
-            flows = self.flows_of(p)  # (L, S, T)
-            limits = case.line_limits[:, None, None]
-            base = np.einsum("lb,sbt->lst", self.mats.ptdf,
-                             self.wind_bus - self.load_bus)
-            gcoef = self.mats.ptdf[:, self.gen_bus]  # (L, G)
-            for sign in (1.0, -1.0):
-                bad = sign * flows > limits + tol
-                for li, s, t in zip(*np.nonzero(bad)):
-                    key = ("f", int(sign), li, s, t)
-                    if key in self.lazy_keys:
-                        continue
-                    row = np.zeros(self.ncols)
-                    self._expand_p_row(row, sign * gcoef[li], s, t)
-                    rhs = float(case.line_limits[li] - sign * base[li, s, t])
-                    out.append((key, row, rhs))
-        else:
-            h = inst.hyperplane
-            W = case.n_wind
-            w_mu = h.weights_physical[:W]
-            w_sig = h.weights_physical[W:2 * W]
-            w_p = h.weights_physical[2 * W:]
-            for s, scen in enumerate(self.inst.scenarios):
-                const = float(w_mu @ scen.mu + w_sig @ scen.sigma
-                              + h.bias_physical)
-                vals = np.einsum("g,gt->t", w_p, p[:, s, :]) + const
-                for t in np.nonzero(vals < -SURROGATE_TOL)[0]:
-                    key = ("svm", s, int(t))
-                    if key in self.lazy_keys:
-                        continue
-                    row = np.zeros(self.ncols)
-                    self._expand_p_row(row, -w_p, s, int(t))
-                    out.append((key, row, const + SURROGATE_TOL))
+                out.append((key, self._p_row(self.row_coef[r], s),
+                            self.row_rhs[s, r]))
         return out
 
     def add_lazy(self, rows) -> None:
@@ -452,12 +476,6 @@ class _Milp:
                          lo=self.lo, hi=self.hi)
 
 
-def _unit(n: int, i: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[i] = 1.0
-    return e
-
-
 def build_milp(inst: TsucInstance, mats: GridMatrices | None = None) -> _Milp:
     """Assemble the MILP; raises FeatureMismatch on a surrogate/case conflict."""
     return _Milp(inst, mats)
@@ -491,33 +509,28 @@ def _solve_node(
         base = (sol, keys)
 
 
-def _extract_solution(
-    milp: _Milp, x: np.ndarray, objective: float, stats: SolveStats,
-    status: TsucStatus,
+def _solution(
+    milp: _Milp, status: TsucStatus, stats: SolveStats, objective: float,
+    u: np.ndarray | None, p: np.ndarray | None,
 ) -> TsucSolution:
-    inst, case = milp.inst, milp.inst.case
-    u = np.rint(x[:milp.n_u].reshape(milp.T, milp.G).T).astype(int)
-    y, z = minimal_transitions(u, inst.initial_status)
-    p = milp.dispatch_of(x)
-    # Zero out numerical dust on offline units.
-    p = np.where(u[:, None, :] == 0, 0.0, p)
-    angles = np.zeros((case.n_buses, milp.S, milp.T))
-    for s in range(milp.S):
-        for t in range(milp.T):
-            inj = milp.wind_bus[s, :, t] - milp.load_bus[s, :, t]
-            for g in range(milp.G):
-                inj[milp.gen_bus[g]] += p[g, s, t]
-            angles[:, s, t] = milp.mats.angles(inj, case.base_mva)
-    return TsucSolution(
-        status=status,
-        schedule=Schedule(u=u, y=y, z=z),
-        dispatch=p,
-        angles=angles,
-        objective=objective,
-        stats=stats,
-        flow_rows=milp.flow_row_count,
-        surrogate_rows=milp.surrogate_row_count,
-    )
+    """The result for a (G, T) schedule and its (G, S, T) dispatch, or for
+    no schedule at all (u and p None)."""
+    schedule = angles = None
+    if u is not None:
+        # Zero out numerical dust on offline units.
+        p = np.where(u[:, None, :] == 0, 0.0, p)
+        schedule = Schedule(u, *minimal_transitions(u, milp.inst.initial_status))
+        inj = milp.wind_bus - milp.load_bus  # (S, N, T)
+        for g in range(milp.G):
+            inj[:, milp.gen_bus[g]] += p[g]
+        n = inj.shape[1]
+        angles = milp.mats.angles(inj.transpose(1, 0, 2).reshape(n, -1),
+                                  milp.inst.case.base_mva)
+        angles = angles.reshape(n, milp.S, milp.T)
+    return TsucSolution(status=status, schedule=schedule, dispatch=p,
+                        angles=angles, objective=objective, stats=stats,
+                        flow_rows=milp.flow_row_count,
+                        surrogate_rows=milp.surrogate_row_count)
 
 
 def _repair_schedule(case: SystemCase, u: np.ndarray, u0: np.ndarray) -> np.ndarray:
@@ -626,26 +639,6 @@ def _price_schedule(
     return cost, u, p_all
 
 
-def _solution_from_schedule(
-    milp: _Milp, u: np.ndarray, p_all: np.ndarray, objective: float,
-    stats: SolveStats, status: TsucStatus,
-) -> TsucSolution:
-    inst, case = milp.inst, milp.inst.case
-    y, z = minimal_transitions(u, inst.initial_status)
-    angles = np.zeros((case.n_buses, milp.S, milp.T))
-    for s in range(milp.S):
-        for t in range(milp.T):
-            inj = milp.wind_bus[s, :, t] - milp.load_bus[s, :, t]
-            for g in range(milp.G):
-                inj[milp.gen_bus[g]] += p_all[g, s, t]
-            angles[:, s, t] = milp.mats.angles(inj, case.base_mva)
-    return TsucSolution(status=status, schedule=Schedule(u=u, y=y, z=z),
-                        dispatch=p_all, angles=angles, objective=objective,
-                        stats=stats,
-                        flow_rows=milp.flow_row_count,
-                        surrogate_rows=milp.surrogate_row_count)
-
-
 def solve_tsuc(
     inst: TsucInstance,
     *,
@@ -717,105 +710,43 @@ def solve_tsuc(
     stats.wall_time = time.perf_counter() - t_start
     if incumbent_x is None and incumbent_sched is None:
         final = TsucStatus.NODE_LIMIT if node_limited else TsucStatus.INFEASIBLE
-        return TsucSolution(status=final, schedule=None, dispatch=None,
-                            angles=None, objective=np.inf, stats=stats,
-                            flow_rows=milp.flow_row_count,
-                            surrogate_rows=milp.surrogate_row_count)
+        return _solution(milp, final, stats, np.inf, None, None)
     best_open = min((b for b, *_ in heap), default=np.inf)
     lower = min(incumbent_obj, best_open, pruned_min)
     stats.gap = abs(incumbent_obj - lower) / (1.0 + abs(incumbent_obj))
     status = TsucStatus.NODE_LIMIT if node_limited else TsucStatus.OPTIMAL
-    if incumbent_x is None:
-        u, p_all = incumbent_sched
-        return _solution_from_schedule(milp, u, p_all, incumbent_obj, stats,
-                                       status)
-    return _extract_solution(milp, incumbent_x, incumbent_obj, stats, status)
+    if incumbent_x is not None:
+        u = np.rint(incumbent_x[:milp.n_u].reshape(milp.T, milp.G).T)
+        incumbent_sched = (u.astype(int), milp.dispatch_of(incumbent_x))
+    return _solution(milp, status, stats, incumbent_obj, *incumbent_sched)
 
 
 def _dispatch_lp(
     milp: _Milp, u: np.ndarray, s: int,
 ) -> tuple[bool, float, np.ndarray | None]:
-    """Second-stage LP for one scenario under a fixed binary commitment."""
-    inst, case = milp.inst, milp.inst.case
+    """Second-stage LP for one scenario under a fixed binary commitment.
+
+    Columns are delta[(t*G + g)*K + k]; every row of the dispatch table
+    applies, with the committed minimum output pmin*u on the right.
+    """
     G, T, K = milp.G, milp.T, milp.K
-    nvar = G * T * K
-
-    def cols(g, t):
-        return slice((t * G + g) * K, (t * G + g) * K + K)
-
-    c = np.zeros(nvar)
-    lo = np.zeros(nvar)
-    hi = np.zeros(nvar)
-    pi = inst.scenarios[s].probability
-    for g in range(G):
-        for t in range(T):
-            c[cols(g, t)] = milp.curves[g].slopes
-            hi[cols(g, t)] = milp.widths[g] * u[g, t]
-
-    base_p = milp.pmin[:, None] * u  # (G, T) committed minimum output
-    a_eq = np.zeros((T, nvar))
-    b_eq = np.zeros(T)
-    for t in range(T):
-        for g in range(G):
-            a_eq[t, cols(g, t)] = 1.0
-        b_eq[t] = (milp.load_total[s, t] - milp.wind_total[s, t]
-                   - base_p[:, t].sum())
-
-    a_le, b_le = [], []
-    for g in range(G):
-        gen = case.generators[g]
-        for t in range(1, T):
-            row = np.zeros(nvar)
-            row[cols(g, t)] = 1.0
-            row[cols(g, t - 1)] = -1.0
-            a_le.append(row)
-            b_le.append(gen.ramp_up - (base_p[g, t] - base_p[g, t - 1]))
-            row = np.zeros(nvar)
-            row[cols(g, t)] = -1.0
-            row[cols(g, t - 1)] = 1.0
-            a_le.append(row)
-            b_le.append(gen.ramp_down + (base_p[g, t] - base_p[g, t - 1]))
-
-    if inst.mode is TsucMode.FULL_NETWORK:
-        base_flow = np.einsum("lb,bt->lt", milp.mats.ptdf,
-                              milp.wind_bus[s] - milp.load_bus[s])
-        gcoef = milp.mats.ptdf[:, milp.gen_bus]
-        for t in range(T):
-            fixed = base_flow[:, t] + gcoef @ base_p[:, t]
-            for li in range(case.n_lines):
-                row = np.zeros(nvar)
-                for g in range(G):
-                    row[cols(g, t)] = gcoef[li, g]
-                a_le.append(row.copy())
-                b_le.append(case.line_limits[li] - fixed[li])
-                a_le.append(-row)
-                b_le.append(case.line_limits[li] + fixed[li])
-    else:
-        h = inst.hyperplane
-        W = case.n_wind
-        scen = inst.scenarios[s]
-        w_p = h.weights_physical[2 * W:]
-        const = float(h.weights_physical[:W] @ scen.mu
-                      + h.weights_physical[W:2 * W] @ scen.sigma
-                      + h.bias_physical)
-        for t in range(T):
-            row = np.zeros(nvar)
-            for g in range(G):
-                row[cols(g, t)] = -w_p[g]
-            a_le.append(row)
-            b_le.append(const + float(w_p @ base_p[:, t]) + SURROGATE_TOL)
-
-    lp = LpProblem(c=c, a_eq=a_eq, b_eq=b_eq,
-                   a_le=np.array(a_le) if a_le else np.zeros((0, nvar)),
-                   b_le=np.array(b_le), lo=lo, hi=hi)
+    ut = u.T.ravel()  # hour-major, like the table
+    base_p = milp.pmin_tg * ut
+    lp = LpProblem(
+        c=np.tile(milp.slopes.ravel(), T),
+        a_eq=np.repeat(np.eye(T), G * K, axis=1),
+        b_eq=(milp.load_total[s] - milp.wind_total[s]
+              - base_p.reshape(T, G).sum(axis=1)),
+        a_le=np.repeat(milp.row_coef, K, axis=1),
+        b_le=milp.row_rhs[s] - milp.row_coef @ base_p,
+        lo=np.zeros(T * G * K),
+        hi=np.tile(milp.widths.ravel(), T) * np.repeat(ut, K))
     sol = solve_lp(lp)
     if sol.status is not LpStatus.OPTIMAL:
         return False, np.inf, None
-    p = base_p.copy()
-    for g in range(G):
-        for t in range(T):
-            p[g, t] += sol.x[cols(g, t)].sum()
-    return True, pi * float(sol.objective), p
+    p = base_p + sol.x.reshape(T * G, K).sum(axis=1)
+    pi = milp.inst.scenarios[s].probability
+    return True, pi * float(sol.objective), p.reshape(T, G).T
 
 
 def brute_force_tsuc(inst: TsucInstance, mats: GridMatrices | None = None) -> TsucSolution:
@@ -832,57 +763,16 @@ def brute_force_tsuc(inst: TsucInstance, mats: GridMatrices | None = None) -> Ts
                        f"got {G * T}")
     milp = build_milp(inst, mats)
     stats = SolveStats()
-    u0 = inst.initial_status
-    fixed_per_gt = np.array([
-        [g.c0 + milp.curves[gi].base_value for g in [case.generators[gi]]][0]
-        for gi in range(G)
-    ])
-
     best = (np.inf, None, None)
     for bits in itertools.product((0, 1), repeat=G * T):
         u = np.array(bits, dtype=int).reshape(G, T)
-        if not schedule_is_logical(case, u, u0):
+        if not schedule_is_logical(case, u, inst.initial_status):
             continue
-        y, z = minimal_transitions(u, u0)
-        cost = float(sum(
-            y[g, t] * case.generators[g].startup_cost
-            + z[g, t] * case.generators[g].shutdown_cost
-            + u[g, t] * fixed_per_gt[g]
-            for g in range(G) for t in range(T)
-        ))
-        p_all = np.zeros((G, len(inst.scenarios), T))
-        ok = True
-        for s in range(len(inst.scenarios)):
-            stats.lp_solves += 1
-            feasible, c_s, p = _dispatch_lp(milp, u, s)
-            if not feasible:
-                ok = False
-                break
-            cost += c_s
-            p_all[:, s, :] = p
-        if ok and cost < best[0]:
-            best = (cost, u, p_all)
         stats.nodes += 1
+        priced = _price_schedule(milp, u, stats)
+        if priced is not None and priced[0] < best[0]:
+            best = priced
 
     stats.wall_time = time.perf_counter() - t_start
-    if best[1] is None:
-        return TsucSolution(status=TsucStatus.INFEASIBLE, schedule=None,
-                            dispatch=None, angles=None, objective=np.inf,
-                            stats=stats,
-                            flow_rows=milp.flow_row_count,
-                            surrogate_rows=milp.surrogate_row_count)
-    cost, u, p_all = best
-    y, z = minimal_transitions(u, u0)
-    angles = np.zeros((case.n_buses, len(inst.scenarios), T))
-    for s in range(len(inst.scenarios)):
-        for t in range(T):
-            inj = milp.wind_bus[s, :, t] - milp.load_bus[s, :, t]
-            for g in range(G):
-                inj[milp.gen_bus[g]] += p_all[g, s, t]
-            angles[:, s, t] = milp.mats.angles(inj, case.base_mva)
-    return TsucSolution(status=TsucStatus.OPTIMAL,
-                        schedule=Schedule(u=u, y=y, z=z),
-                        dispatch=p_all, angles=angles, objective=cost,
-                        stats=stats,
-                        flow_rows=milp.flow_row_count,
-                        surrogate_rows=milp.surrogate_row_count)
+    status = TsucStatus.INFEASIBLE if best[1] is None else TsucStatus.OPTIMAL
+    return _solution(milp, status, stats, *best)

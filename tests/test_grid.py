@@ -129,6 +129,15 @@ def test_angles_reproduce_injection(tiny_case, rng):
     assert theta[tiny_case.ref_index] == 0.0
     np.testing.assert_allclose(
         mats.b_matrix @ theta * tiny_case.base_mva, inj, atol=1e-6)
+    # An (N, k) matrix solves each column as a single call would.
+    batch = rng.normal(scale=30.0, size=(3, 5))
+    batch -= batch.mean(axis=0)
+    batch[:, 0] = inj
+    thetas = mats.angles(batch, tiny_case.base_mva)
+    assert thetas.shape == batch.shape
+    np.testing.assert_allclose(
+        thetas, np.column_stack([mats.angles(col, tiny_case.base_mva)
+                                 for col in batch.T]), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["ring3", "sixbus", "grid24"])

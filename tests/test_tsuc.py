@@ -70,20 +70,25 @@ def test_full_matches_brute_force(tiny_case):
 
 
 def test_fuzzed_oracle_equivalence(rng):
-    matches = 0
+    """Both modes against the oracle; the surrogate halfspace caps unit 0
+    at 40 MW, so its rows bind."""
+    matches = {TsucMode.FULL_NETWORK: 0, TsucMode.SURROGATE: 0}
     for _ in range(8):
         case = make_tiny_case(line_limit=float(rng.uniform(40, 90)))
         scens = build_scenarios(case, int(rng.integers(1, 3)),
                                 3, int(rng.integers(10_000)))
-        inst = TsucInstance(case, scens, 3, TsucMode.FULL_NETWORK,
-                            pwl_segments=3)
-        got = solve_tsuc(inst)
-        ref = brute_force_tsuc(inst)
-        assert got.status is ref.status
-        if got.status is TsucStatus.OPTIMAL:
-            assert got.objective == pytest.approx(ref.objective, rel=1e-6)
-            matches += 1
-    assert matches >= 4
+        capped = make_hyperplane(case, w_p=np.array([-1.0, 0.0]), bias=40.0)
+        for mode, hyperplane in ((TsucMode.FULL_NETWORK, None),
+                                 (TsucMode.SURROGATE, capped)):
+            inst = TsucInstance(case, scens, 3, mode, hyperplane=hyperplane,
+                                pwl_segments=3)
+            got = solve_tsuc(inst)
+            ref = brute_force_tsuc(inst)
+            assert got.status is ref.status
+            if got.status is TsucStatus.OPTIMAL:
+                assert got.objective == pytest.approx(ref.objective, rel=1e-6)
+                matches[mode] += 1
+    assert min(matches.values()) >= 4
 
 
 def test_solution_invariants_full(tiny_case):
