@@ -90,14 +90,6 @@ def wind_realization(mu, sigma, z):
     return np.maximum(0.0, np.asarray(mu) + z * np.asarray(sigma))
 
 
-def draw_wind_params(case: SystemCase, rng_seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """One uniform (mu, sigma) draw per wind unit."""
-    rng = _rng(rng_seed, 0)
-    mu = np.array([rng.uniform(*w.mu_interval) for w in case.wind_units])
-    sigma = np.array([rng.uniform(*w.sigma_interval) for w in case.wind_units])
-    return mu, sigma
-
-
 def _draw_operating_point(case: SystemCase, rng: np.random.Generator):
     mu = np.array([rng.uniform(*w.mu_interval) for w in case.wind_units])
     sigma = np.array([rng.uniform(*w.sigma_interval) for w in case.wind_units])
@@ -105,7 +97,8 @@ def _draw_operating_point(case: SystemCase, rng: np.random.Generator):
     return mu, sigma, mult
 
 
-def _features(mu, sigma, dispatch) -> np.ndarray:
+def feature_vector(mu, sigma, dispatch) -> np.ndarray:
+    """[mu, sigma, p]: the fixed dataset and hyperplane feature ordering."""
     return np.concatenate([mu, sigma, dispatch])
 
 
@@ -146,7 +139,7 @@ def generate_dataset(
             wind = wind_realization(mu, sigma, z)
             res = solve_dcopf(case, wind, load, True, mats=mats, segments=segments)
             if res.status is DcopfStatus.OPTIMAL:
-                samples.append(LabeledSample(_features(mu, sigma, res.dispatch),
+                samples.append(LabeledSample(feature_vector(mu, sigma, res.dispatch),
                                              1, res.flows))
                 n_pos += 1
         draw += 1
@@ -172,7 +165,7 @@ def generate_dataset(
                 continue
             if label == -1 and n_neg >= cap:
                 continue
-            samples.append(LabeledSample(_features(mu, sigma, res.dispatch),
+            samples.append(LabeledSample(feature_vector(mu, sigma, res.dispatch),
                                          label, res.flows))
             if label == 1:
                 n_pos += 1

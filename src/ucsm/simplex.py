@@ -1,9 +1,14 @@
-"""Bounded-variable two-phase revised simplex solver.
+"""Bounded-variable revised simplex solver: two-phase primal for cold
+starts, bounded dual simplex for warm starts.
 
 Dense implementation with an explicitly maintained basis inverse (rank-1
-eta updates, periodic refactorization by ``np.linalg.inv``). Pivoting uses
-a Dantzig rule and falls back to Bland's rule after 2*(m+n) iterations to
-guarantee termination on cycling instances.
+eta updates, periodic refactorization by ``np.linalg.inv``). A cold solve
+runs phase 1 from a crash basis of slacks and artificials, then phase 2. A
+warm solve factors the given basis, reoptimizes it with the dual simplex
+(which needs a dual feasible basis, as an optimal one stays after rows are
+appended or bounds tightened) and finishes with phase 2 as cleanup. Both
+use a Dantzig-style rule and fall back to Bland's rule after 2*(m+n)
+iterations to guarantee termination on cycling instances.
 
 Bounds with magnitude >= INF_BOUND are treated as unbounded.
 """
@@ -19,6 +24,9 @@ import numpy as np
 from .errors import DimensionMismatch, SingularMatrix
 
 INF_BOUND = 1e18
+OPT_TOL = 1e-9     # reduced-cost tolerance, relative to the cost scale
+FEAS_TOL = 1e-9    # bound-violation tolerance, relative to the rhs scale
+PIVOT_TOL = 1e-10  # smallest usable pivot-column entry in a ratio test
 
 # Variable states.
 _AT_LO = 0
@@ -87,9 +95,11 @@ class LpStart:
 
     ``basis[i]`` is the basic column for row i in the new problem's column
     numbering; ``col_status`` covers every column (structural, slack,
-    artificial). Rows whose basic column is an artificial absorb their
-    residual in phase 1. Falls back to a cold start if the basis turns out
-    primal-infeasible in the structural variables.
+    artificial). The basis is factored as given, with the artificials fixed
+    at zero, and reoptimized by the dual simplex, so it should be dual
+    feasible: an optimal basis stays so after rows are appended with their
+    slacks basic or bounds are tightened. Falls back to a cold start unless
+    it is a basis that factors with every nonbasic column at a finite bound.
     """
 
     basis: np.ndarray
@@ -111,6 +121,7 @@ class _Tableau:
     xb: np.ndarray = field(default=None)
     binv: np.ndarray = field(default=None)
     art_sign: np.ndarray = field(default=None)
+    since_refactor: int = 0  # pivots since the last factorization
 
     @property
     def m(self) -> int:
@@ -171,81 +182,51 @@ class _Tableau:
             raise SingularMatrix("basis matrix singular at refactorization") from exc
         self.xb = self.binv @ self.nonbasic_rhs()
         self.xval[self.basis] = self.xb
+        self.since_refactor = 0
+
+    def pivot(self, r: int, j: int, w: np.ndarray, theta: float,
+              leave_state: int):
+        """Basis exchange shared by the primal and the dual simplex: column
+        j (with w = B^-1 a_j) moves by theta and enters on row r; the
+        leaving column goes nonbasic in ``leave_state``. Refactors every
+        100 exchanges."""
+        self.xb -= theta * w
+        old = self.basis[r]
+        self.status[old] = leave_state
+        self.xval[old] = _nonbasic_value(self.lo[old], self.hi[old],
+                                         leave_state)
+        self.basis[r] = j
+        self.status[j] = _BASIC
+        self.xb[r] = self.xval[j] + theta
+
+        # Eta update of the inverse.
+        self.binv[r, :] /= w[r]
+        others = np.arange(self.m) != r
+        self.binv[others, :] -= np.outer(w[others], self.binv[r, :])
+        self.xval[self.basis] = self.xb
+        self.since_refactor += 1
+        if self.since_refactor >= 100:
+            self.refactor()
 
 
-def _install_warm_start(t: _Tableau, start: "LpStart", tol: float) -> bool:
-    """Adopt an advanced basis; returns False if it cannot be used."""
-    m, ns, nk = t.m, t.n_struct, t.n_slack
-    basis = start.basis.astype(int).copy()
-    status = start.col_status.astype(np.int8).copy()
-    if np.unique(basis).size != m:
+def _install_warm_start(t: _Tableau, start: LpStart) -> bool:
+    """Adopt an advanced basis with every nonbasic column at the bound its
+    state names; False if it is not a basis or cannot be factored."""
+    basis = start.basis.astype(int)
+    cols = np.unique(basis)
+    if cols.size != t.m or cols[0] < 0 or cols[-1] >= t.n_cols:
         return False
+    status = start.col_status.astype(np.int8)
     status[basis] = _BASIC
     xval = np.where(status == _AT_LO, t.lo,
                     np.where(status == _AT_HI, t.hi, 0.0))
-    xval[basis] = 0.0
-
-    t.basis = basis
-    t.status = status
-    t.xval = xval
-    t.art_sign = np.ones(m)
-
-    # A basic artificial absorbs its row's residual; only supported on its
-    # own row. Its sign is fixed after refactorization: flipping the sign of
-    # basis column i negates row i of the inverse and xb[i], so any negative
-    # basic artificial is made nonnegative in place.
-    for i in np.nonzero(basis >= ns + nk)[0]:
-        if basis[i] - ns - nk != i:
-            return False
-
-    def refactor_ok() -> bool:
-        try:
-            t.refactor()
-        except SingularMatrix:
-            return False
-        flip = (basis >= ns + nk) & (t.xb < 0)
-        for i in np.nonzero(flip)[0]:
-            t.art_sign[i] *= -1.0
-            t.xb[i] *= -1.0
-            t.binv[i, :] *= -1.0
-        t.xval[basis] = t.xb
-        return True
-
-    if not refactor_ok():
+    if not np.all(np.isfinite(xval)):
         return False
-    # Basic structural/slack variables must respect their bounds; phase 1
-    # only prices artificials, so it cannot recover from other violations.
-    # An out-of-bounds basic slack sitting on its own row (a newly added,
-    # violated row) is repairable: swap in that row's artificial.
-    lob = t.lo[basis]
-    hib = t.hi[basis]
-    arts = basis >= ns + nk
-    bad = np.nonzero(
-        ~arts & ((t.xb < lob - tol) | (t.xb > hib + tol))
-    )[0]
-    if bad.size:
-        for i in bad:
-            j = basis[i]
-            if ns <= j < ns + nk and t.m_eq + (j - ns) == i:
-                status[j] = _AT_LO
-                xval[j] = 0.0
-                basis[i] = ns + nk + i
-                status[basis[i]] = _BASIC
-            else:
-                return False
-        if not refactor_ok():
-            return False
-        lob = t.lo[basis]
-        hib = t.hi[basis]
-        arts = basis >= ns + nk
-        ok = np.all(t.xb[~arts] >= lob[~arts] - tol) and np.all(
-            t.xb[~arts] <= hib[~arts] + tol
-        )
-        if not ok:
-            return False
-    np.clip(t.xb, np.where(arts, 0.0, lob), np.where(arts, np.inf, hib),
-            out=t.xb)
-    t.xval[basis] = t.xb
+    t.basis, t.status, t.xval = basis, status, xval
+    try:
+        t.refactor()
+    except SingularMatrix:
+        return False
     return True
 
 
@@ -260,13 +241,11 @@ def _nonbasic_value(lo: float, hi: float, state: int) -> float:
 def solve_lp(
     problem: LpProblem,
     *,
-    opt_tol: float = 1e-9,
-    feas_tol: float = 1e-9,
-    pivot_tol: float = 1e-10,
     max_iter: int | None = None,
     start: LpStart | None = None,
 ) -> LpSolution:
-    """Solve a bounded-variable LP with the two-phase revised simplex method."""
+    """Solve a bounded-variable LP: two-phase primal simplex from a crash basis,
+    or dual simplex plus a primal cleanup from the advanced basis ``start``."""
     n = problem.n
     m_eq = problem.a_eq.shape[0]
     m_le = problem.a_le.shape[0]
@@ -280,24 +259,9 @@ def solve_lp(
     lo[lo <= -INF_BOUND] = -np.inf
     hi[hi >= INF_BOUND] = np.inf
 
-    t = _Tableau(a=a, b=b, m_eq=m_eq, lo=lo, hi=hi)
+    t = _Tableau(a=a, b=b, m_eq=m_eq, lo=lo, hi=hi, art_sign=np.ones(m))
     ns, nk = n, m_le
     ncols = t.n_cols
-
-    def cold_state():
-        # Nonbasic start: nearest finite bound, free variables at zero.
-        status = np.where(
-            np.isfinite(lo), _AT_LO, np.where(np.isfinite(hi), _AT_HI, _FREE)
-        ).astype(np.int8)
-        status[ns + nk:] = _AT_LO
-        xval = np.where(status == _AT_LO, lo,
-                        np.where(status == _AT_HI, hi, 0.0))
-        xval[~np.isfinite(xval)] = 0.0
-        return status, xval
-
-    t.status, t.xval = cold_state()
-    t.basis = np.arange(ns + nk, ncols)
-    t.art_sign = np.ones(m)
 
     if m == 0:
         # Pure bound problem: each variable sits at its cheaper bound.
@@ -309,30 +273,33 @@ def solve_lp(
         obj = float(problem.c @ x)
         return LpSolution(LpStatus.OPTIMAL, x, np.zeros(0), obj, 0, obj)
 
-    warm = False
-    if start is not None and start.basis.size == m and start.col_status.size == ncols:
-        warm = _install_warm_start(t, start, feas_tol * (1.0 + float(np.max(np.abs(b)))))
-    if not warm:
+    warm = (start is not None and start.basis.size == m
+            and start.col_status.size == ncols and _install_warm_start(t, start))
+    if warm:
+        t.hi[ns + nk:] = 0.0  # artificials stay fixed at zero
+    else:
+        # Nonbasic start: nearest finite bound, free variables at zero.
+        t.status = np.where(
+            np.isfinite(lo), _AT_LO, np.where(np.isfinite(hi), _AT_HI, _FREE)
+        ).astype(np.int8)
+        t.status[ns + nk:] = _AT_LO
+        t.xval = np.where(t.status == _AT_LO, lo,
+                          np.where(t.status == _AT_HI, hi, 0.0))
+        t.xval[~np.isfinite(t.xval)] = 0.0
         # Crash basis: slack basic on every inequality row whose slack start
         # is feasible, artificial elsewhere. Cuts phase-1 work to the
-        # infeasible rows. A failed warm-start attempt may have mutated the
-        # tableau state, so rebuild the nonbasic start from scratch.
-        t.status, t.xval = cold_state()
-        t.art_sign = np.ones(m)
+        # infeasible rows.
+        t.basis = np.arange(ns + nk, ncols)
         r = t.nonbasic_rhs()
-        t.basis = np.empty(m, dtype=int)
         for i in range(m):
             if i >= m_eq and r[i] >= 0:
                 t.basis[i] = ns + (i - m_eq)
             else:
-                t.basis[i] = ns + nk + i
                 t.art_sign[i] = 1.0 if r[i] >= 0 else -1.0
         t.binv = np.diag(np.where(t.basis >= ns + nk, t.art_sign, 1.0))
         t.xb = np.abs(r)
         t.status[t.basis] = _BASIC
         t.xval[t.basis] = t.xb
-    status = t.status
-    xval = t.xval
 
     if max_iter is None:
         max_iter = 200 * (m + ns) + 2000
@@ -344,6 +311,7 @@ def solve_lp(
     c_phase2[:ns] = problem.c
 
     iters = 0
+    movable = hi[:ns + nk] > lo[:ns + nk]  # fixed columns never enter
     c_scale = 1.0 + float(np.max(np.abs(problem.c))) if n else 1.0
     b_scale = 1.0 + (float(np.max(np.abs(b))) if m else 0.0)
 
@@ -356,16 +324,16 @@ def solve_lp(
 
     def run_phase(cvec, phase: int):
         nonlocal iters
-        dtol = opt_tol * (c_scale if phase == 2 else b_scale)
-        since_refactor = 0
+        dtol = OPT_TOL * (c_scale if phase == 2 else b_scale)
+        t.since_refactor = 0
         while True:
             if iters >= max_iter:
                 return "iteration_limit"
             y, d = price(cvec)
             sl = t.status[:ns + nk]
             eligible = (
-                ((sl == _AT_LO) & (d < -dtol) & (t.hi[:ns + nk] > t.lo[:ns + nk]))
-                | ((sl == _AT_HI) & (d > dtol) & (t.hi[:ns + nk] > t.lo[:ns + nk]))
+                ((sl == _AT_LO) & (d < -dtol) & movable)
+                | ((sl == _AT_HI) & (d > dtol) & movable)
                 | ((sl == _FREE) & (np.abs(d) > dtol))
             )
             idx = np.nonzero(eligible)[0]
@@ -387,8 +355,8 @@ def solve_lp(
             lob = t.lo[t.basis]
             hib = t.hi[t.basis]
             with np.errstate(divide="ignore", invalid="ignore"):
-                down = np.where(dw > pivot_tol, (t.xb - lob) / dw, np.inf)
-                up = np.where(dw < -pivot_tol, (t.xb - hib) / dw, np.inf)
+                down = np.where(dw > PIVOT_TOL, (t.xb - lob) / dw, np.inf)
+                up = np.where(dw < -PIVOT_TOL, (t.xb - hib) / dw, np.inf)
             lim = np.minimum(down, up)
             lim[~np.isfinite(lim)] = np.inf
             lim = np.maximum(lim, 0.0)
@@ -420,13 +388,12 @@ def solve_lp(
                     leave = cand
                     step = float(lim[cand])
                     break
-                if since_refactor > 0:
+                if t.since_refactor > 0:
                     stale = True
                     break
                 lim[cand] = np.inf
             if stale:
                 t.refactor()
-                since_refactor = 0
                 iters -= 1
                 continue
 
@@ -441,31 +408,10 @@ def solve_lp(
                 t.xval[j] = _nonbasic_value(t.lo[j], t.hi[j], t.status[j])
                 continue
 
-            wr = w[leave]
-
-            enter_val = t.xval[j] + direction * step
-            t.xb -= step * dw
-            old = t.basis[leave]
             # dw > 0 means the leaving basic variable decreased onto its
             # lower bound; dw < 0 means it rose onto its upper bound.
-            t.status[old] = _AT_LO if dw[leave] > 0 else _AT_HI
-            t.xval[old] = _nonbasic_value(t.lo[old], t.hi[old], t.status[old])
-
-            t.basis[leave] = j
-            t.status[j] = _BASIC
-            t.xb[leave] = enter_val
-            t.xval[j] = enter_val
-
-            # Eta update of the inverse.
-            t.binv[leave, :] /= wr
-            others = np.arange(m) != leave
-            t.binv[others, :] -= np.outer(w[others], t.binv[leave, :])
-            t.xval[t.basis] = t.xb
-
-            since_refactor += 1
-            if since_refactor >= 100:
-                t.refactor()
-                since_refactor = 0
+            t.pivot(leave, j, w, direction * step,
+                    _AT_LO if dw[leave] > 0 else _AT_HI)
 
     def assemble(st: LpStatus) -> LpSolution:
         y, d = price(c_phase2)
@@ -476,33 +422,87 @@ def solve_lp(
         return LpSolution(st, x, y.copy(), obj, iters, dual_obj,
                           basis=t.basis.copy(), col_status=t.status.copy())
 
-    out = run_phase(c_phase1, 1)
+    def dual_phase():
+        """Bounded dual simplex from a dual feasible basis, until the basis
+        is primal feasible. The leaving row has the largest bound
+        violation; a row that no nonbasic column can move toward its bound
+        certifies infeasibility."""
+        nonlocal iters
+        while True:
+            below = t.lo[t.basis] - t.xb
+            viol = np.maximum(below, t.xb - t.hi[t.basis])
+            bad = np.nonzero(viol > FEAS_TOL * b_scale)[0]
+            if bad.size == 0:
+                return "optimal"
+            if iters >= max_iter:
+                return "iteration_limit"
+            bland = iters > bland_after
+            r = int(bad[np.argmin(t.basis[bad])] if bland
+                    else bad[np.argmax(viol[bad])])
+            rises = below[r] > 0  # x_r must rise to its lower bound
+            # Row r of B^-1 [A | I]: x_r falls by alpha_j per unit rise of
+            # nonbasic column j, so g_j is its move toward the bound.
+            alpha = np.empty(ns + nk)
+            alpha[:ns] = t.binv[r] @ t.a
+            alpha[ns:] = t.binv[r, m_eq:]
+            g = -alpha if rises else alpha
+            sl = t.status[:ns + nk]
+            eligible = movable & (
+                ((sl == _AT_LO) & (g > PIVOT_TOL))
+                | ((sl == _AT_HI) & (g < -PIVOT_TOL))
+                | ((sl == _FREE) & (np.abs(g) > PIVOT_TOL))
+            )
+            idx = np.nonzero(eligible)[0]
+            if idx.size == 0:
+                if t.since_refactor == 0:
+                    return "infeasible"
+                t.refactor()  # confirm the certificate on a fresh inverse
+                continue
+            # Dual ratio test: the column whose reduced cost reaches zero
+            # first; ties go to the largest pivot.
+            _, d = price(c_phase2)
+            ratio = np.abs(d[idx] / alpha[idx])
+            ties = idx[ratio <= ratio.min() * (1 + 1e-9) + 1e-12]
+            q = int(ties[0] if bland else ties[np.argmax(np.abs(alpha[ties]))])
+            iters += 1
+
+            w = t.binv @ t.col(q)
+            target = t.lo[t.basis[r]] if rises else t.hi[t.basis[r]]
+            t.pivot(r, q, w, (t.xb[r] - target) / w[r],
+                    _AT_LO if rises else _AT_HI)
+
+    if warm:
+        out = dual_phase()
+    else:
+        out = run_phase(c_phase1, 1)
+        if (out != "iteration_limit"
+                and float(c_phase1[t.basis] @ t.xb) > FEAS_TOL * b_scale):
+            out = "infeasible"
     if out == "iteration_limit":
         return assemble(LpStatus.ITERATION_LIMIT)
-    phase1_obj = float(c_phase1[t.basis] @ t.xb)
-    if phase1_obj > feas_tol * b_scale:
-        sol = assemble(LpStatus.INFEASIBLE)
-        return sol
+    if out == "infeasible":
+        return assemble(LpStatus.INFEASIBLE)
 
-    # Drive remaining artificials out of the basis (the refactorization
-    # rebuilds the inverse and the basic values); redundant rows keep a
-    # fixed artificial pinned at zero.
-    art_start = ns + nk
-    for r_i in range(m):
-        if t.basis[r_i] < art_start:
-            continue
-        for j in range(ns + nk):
-            if t.status[j] == _BASIC:
+    if not warm:
+        # Drive remaining artificials out of the basis (the refactorization
+        # rebuilds the inverse and the basic values); redundant rows keep a
+        # fixed artificial pinned at zero.
+        art_start = ns + nk
+        for r_i in range(m):
+            if t.basis[r_i] < art_start:
                 continue
-            if abs(t.binv[r_i] @ t.col(j)) > 1e-7:
-                old = t.basis[r_i]
-                t.basis[r_i] = j
-                t.status[old] = _AT_LO
-                t.xval[old] = 0.0
-                t.status[j] = _BASIC
-                t.refactor()
-                break
-    t.hi[art_start:] = 0.0
+            for j in range(ns + nk):
+                if t.status[j] == _BASIC:
+                    continue
+                if abs(t.binv[r_i] @ t.col(j)) > 1e-7:
+                    old = t.basis[r_i]
+                    t.basis[r_i] = j
+                    t.status[old] = _AT_LO
+                    t.xval[old] = 0.0
+                    t.status[j] = _BASIC
+                    t.refactor()
+                    break
+        t.hi[art_start:] = 0.0
 
     out = run_phase(c_phase2, 2)
     if out == "iteration_limit":
@@ -514,50 +514,24 @@ def solve_lp(
     return assemble(LpStatus.OPTIMAL)
 
 
-def remap_start(
-    sol: LpSolution,
-    n: int,
-    m_eq: int,
-    old_keys: list,
-    new_keys: list,
-) -> LpStart | None:
-    """Carry a solved basis over to a problem with a different <= row set.
+def remap_start(sol: LpSolution, n: int, m_eq: int, m_le: int) -> LpStart | None:
+    """Carry a solved basis over to the same problem with ``<=`` rows
+    appended, ``m_le`` of them in all; the bounds may differ.
 
-    ``old_keys``/``new_keys`` identify the inequality rows of the old and
-    new problems (same order as their a_le blocks); equality rows must be
-    unchanged. Rows of the old problem that disappear are not supported;
-    new rows get their slack as the basic variable (phase 1 repairs any
-    violated ones through a basic artificial).
+    Each appended row gets its slack as the basic variable. The artificial
+    columns follow the slacks, so they shift past the new ones.
     """
     if sol.basis is None or sol.col_status is None:
         return None
-    old_mle, new_mle = len(old_keys), len(new_keys)
-    pos = {k: i for i, k in enumerate(new_keys)}
-    try:
-        le_map = np.array([pos[k] for k in old_keys], dtype=int)
-    except KeyError:
-        return None
-
-    # Old-column -> new-column index: structural unchanged, slacks and
-    # artificials of <= rows follow the key map, eq artificials shift.
-    old_ncols = n + old_mle + m_eq + old_mle
-    newcol = np.empty(old_ncols, dtype=int)
-    newcol[:n] = np.arange(n)
-    newcol[n:n + old_mle] = n + le_map
-    newcol[n + old_mle:n + old_mle + m_eq] = n + new_mle + np.arange(m_eq)
-    newcol[n + old_mle + m_eq:] = n + new_mle + m_eq + le_map
-
-    ncols = n + new_mle + m_eq + new_mle
-    col_status = np.full(ncols, _AT_LO, dtype=np.int8)
-    col_status[newcol] = sol.col_status
-
-    basis = np.full(m_eq + new_mle, -1, dtype=int)
-    basis[:m_eq] = newcol[sol.basis[:m_eq]]
-    basis[m_eq + le_map] = newcol[sol.basis[m_eq:]]
-    fresh = np.nonzero(basis < 0)[0]
-    basis[fresh] = n + (fresh - m_eq)  # fresh slack basic on its own row
-    col_status[basis] = _BASIC
-    return LpStart(basis=basis, col_status=col_status)
+    extra = m_le - (sol.basis.size - m_eq)
+    art = n + m_le - extra  # first artificial column of the solved problem
+    basis = np.where(sol.basis >= art, sol.basis + extra, sol.basis)
+    col_status = np.concatenate([
+        sol.col_status[:art], np.full(extra, _BASIC, dtype=np.int8),
+        sol.col_status[art:], np.full(extra, _AT_LO, dtype=np.int8),
+    ])
+    return LpStart(basis=np.concatenate([basis, art + np.arange(extra)]),
+                   col_status=col_status)
 
 
 def brute_force_lp(problem: LpProblem, tol: float = 1e-9) -> LpSolution:

@@ -107,12 +107,6 @@ def constraint_counts(n_lines: int, n_scenarios: int, horizon: int) -> dict:
             "reduction_pct": reduction}
 
 
-def build_feature_vector(scenario: Scenario, hour: int, dispatch: np.ndarray) -> np.ndarray:
-    """[mu, sigma, p] in the fixed dataset ordering for one scenario-hour."""
-    return np.concatenate([scenario.mu, scenario.sigma,
-                           np.asarray(dispatch, dtype=float)])
-
-
 def minimal_transitions(u: np.ndarray, u0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Smallest y/z consistent with the commitment path (no spurious pairs)."""
     prev = np.column_stack([u0, u[:, :-1]])
@@ -207,7 +201,6 @@ class _Milp:
         self.lazy_a: list[np.ndarray] = []
         self.lazy_b: list[float] = []
         self.lazy_keys: set = set()
-        self.lazy_key_order: list = []
 
     # -- column helpers ----------------------------------------------------
 
@@ -437,43 +430,24 @@ class _Milp:
     def add_lazy(self, rows) -> None:
         for key, row, rhs in rows:
             self.lazy_keys.add(key)
-            self.lazy_key_order.append(key)
             self.lazy_a.append(row)
             self.lazy_b.append(rhs)
 
-    def le_keys(self, fix: tuple) -> list:
-        """Stable identity of every <= row: eager prefix, lazy pool, fixings."""
-        return (list(range(self.b_le.size)) + list(self.lazy_key_order)
-                + [("fix",) + f for f in fix])
-
     def lp_problem(self, fix: tuple) -> LpProblem:
-        """Node LP: eager rows + activated lazy rows + branch fixing rows.
-
-        A fixing (j, v) pins binary column j with a row (u_j <= 0 or
-        -u_j <= -1) instead of a bound change, so a parent basis stays
-        valid for the child and can warm start it.
+        """Node LP: eager rows plus the activated lazy rows, which are only
+        ever appended. A fixing (j, v) pins binary column j by lo = hi = v,
+        so a parent basis stays dual feasible for the child and the dual
+        simplex reoptimizes it.
         """
-        blocks_a = [self.a_le]
-        blocks_b = [self.b_le]
+        lo, hi = self.lo.copy(), self.hi.copy()
+        for col, val in fix:
+            lo[col] = hi[col] = val
+        a_le, b_le = self.a_le, self.b_le
         if self.lazy_a:
-            blocks_a.append(np.array(self.lazy_a))
-            blocks_b.append(np.array(self.lazy_b))
-        if fix:
-            fa = np.zeros((len(fix), self.ncols))
-            fb = np.empty(len(fix))
-            for i, (col, val) in enumerate(fix):
-                if val == 0:
-                    fa[i, col] = 1.0
-                    fb[i] = 0.0
-                else:
-                    fa[i, col] = -1.0
-                    fb[i] = -1.0
-            blocks_a.append(fa)
-            blocks_b.append(fb)
+            a_le = np.vstack([a_le, np.array(self.lazy_a)])
+            b_le = np.concatenate([b_le, self.lazy_b])
         return LpProblem(c=self.c, a_eq=self.a_eq, b_eq=self.b_eq,
-                         a_le=np.vstack(blocks_a),
-                         b_le=np.concatenate(blocks_b),
-                         lo=self.lo, hi=self.hi)
+                         a_le=a_le, b_le=b_le, lo=lo, hi=hi)
 
 
 def build_milp(inst: TsucInstance, mats: GridMatrices | None = None) -> _Milp:
@@ -485,28 +459,27 @@ def _solve_node(
     milp: _Milp,
     fix: tuple,
     stats: SolveStats,
-    base: tuple[LpSolution, list] | None = None,
+    base: LpSolution | None = None,
 ):
     """LP bound with lazy rows grown until none are violated.
 
-    ``base`` is a previously solved (solution, row keys) pair — the parent
-    node or the previous lazy round — used to warm start each solve.
+    ``base`` is a previously solved LP — the parent node or the previous
+    lazy round — whose basis warm starts each solve.
     """
     while True:
-        keys = milp.le_keys(fix)
         start = None
         if base is not None:
-            start = remap_start(base[0], milp.ncols, milp.b_eq.size,
-                                base[1], keys)
+            start = remap_start(base, milp.ncols, milp.b_eq.size,
+                                milp.b_le.size + len(milp.lazy_b))
         sol = solve_lp(milp.lp_problem(fix), start=start)
         stats.lp_solves += 1
         if sol.status is not LpStatus.OPTIMAL:
             return sol.status, np.inf, None, None
         violated = milp.violated_lazy_rows(sol.x)
         if not violated:
-            return sol.status, sol.objective, sol.x, (sol, keys)
+            return sol.status, sol.objective, sol.x, sol
         milp.add_lazy(violated)
-        base = (sol, keys)
+        base = sol
 
 
 def _solution(

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ucsm.errors import DimensionMismatch
-from ucsm.simplex import (INF_BOUND, LpProblem, LpStatus, brute_force_lp,
-                          remap_start, solve_lp)
+from ucsm.simplex import (INF_BOUND, LpProblem, LpStart, LpStatus,
+                          brute_force_lp, remap_start, solve_lp)
 
 
 def box(n):
@@ -75,9 +75,9 @@ def test_dimension_checks():
                   lo=[1.0], hi=[0.0])
 
 
-def random_lp(rng, n=None):
+def random_lp(rng, n=None, m_eq=None):
     n = n or int(rng.integers(2, 7))
-    m_eq = int(rng.integers(0, 2))
+    m_eq = int(rng.integers(0, 2)) if m_eq is None else m_eq
     m_le = int(rng.integers(1, 5))
     return LpProblem(
         c=rng.normal(size=n),
@@ -155,9 +155,7 @@ def test_warm_start_matches_cold(rng):
                           a_le=np.vstack([prob.a_le, a2]),
                           b_le=np.concatenate([prob.b_le, b2]),
                           lo=prob.lo, hi=prob.hi)
-        old_keys = list(range(prob.a_le.shape[0]))
-        new_keys = old_keys + [("new", i) for i in range(extra)]
-        start = remap_start(sol0, n, prob.a_eq.shape[0], old_keys, new_keys)
+        start = remap_start(sol0, n, prob.a_eq.shape[0], prob2.a_le.shape[0])
         warm = solve_lp(prob2, start=start)
         cold = solve_lp(prob2)
         assert warm.status is cold.status
@@ -168,41 +166,75 @@ def test_warm_start_matches_cold(rng):
     assert agree >= 50
 
 
-def test_warm_start_with_fixing_rows(rng):
-    """Branch-style rows x_j <= 0 / -x_j <= -hi_j warm start correctly."""
-    for _ in range(60):
-        prob = random_lp(rng)
+def test_dual_simplex_reoptimizes_appended_cut_in_one_pivot():
+    # The textbook optimum (2, 6) violates 3x + 4.4y <= 31.4 by 1. Both
+    # nonbasic slacks can restore it; the dual ratio test must take the
+    # one with the smaller pivot (ratio 1 against 1.25), which reaches the
+    # new optimum (5/3, 6), -35, in one pivot with no phase-2 cleanup.
+    lo, hi = box(2)
+    a_le = [[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]]
+    prob = LpProblem(c=[-3.0, -5.0], a_eq=np.zeros((0, 2)), b_eq=[],
+                     a_le=a_le, b_le=[4.0, 12.0, 18.0], lo=lo, hi=hi)
+    cut = LpProblem(c=prob.c, a_eq=prob.a_eq, b_eq=[],
+                    a_le=a_le + [[3.0, 4.4]], b_le=[4.0, 12.0, 18.0, 31.4],
+                    lo=lo, hi=hi)
+    warm = solve_lp(cut, start=remap_start(solve_lp(prob), 2, 0, 4))
+    assert warm.status is LpStatus.OPTIMAL
+    np.testing.assert_allclose(warm.x, [5.0 / 3.0, 6.0], atol=1e-9)
+    assert warm.objective == pytest.approx(-35.0)
+    assert warm.iterations == 1
+
+
+def test_warm_start_with_fixed_columns_and_rows(rng):
+    """Branch-style bound fixings lo == hi on 1-3 columns, together with
+    appended rows, reoptimize from the parent basis to the cold answer,
+    infeasible children included."""
+    agree = {LpStatus.OPTIMAL: 0, LpStatus.INFEASIBLE: 0}
+    for _ in range(300):
+        prob = random_lp(rng, m_eq=int(rng.integers(1, 3)))
         sol0 = solve_lp(prob)
         if sol0.status is not LpStatus.OPTIMAL:
             continue
         n = prob.n
-        j = int(rng.integers(0, n))
-        if rng.integers(0, 2):
-            a2 = np.zeros((1, n))
-            a2[0, j] = 1.0
-            b2 = np.array([0.0])
-        else:
-            a2 = np.zeros((1, n))
-            a2[0, j] = -1.0
-            b2 = np.array([-prob.hi[j]])
+        lo, hi = prob.lo.copy(), prob.hi.copy()
+        for j in rng.choice(n, size=int(rng.integers(1, min(n, 3) + 1)),
+                            replace=False):
+            lo[j] = hi[j] = rng.choice([lo[j], hi[j], sol0.x[j]])
+        extra = int(rng.integers(0, 3))
+        a2 = rng.normal(size=(extra, n))
+        b2 = a2 @ sol0.x + rng.normal(size=extra) * 0.3
         prob2 = LpProblem(c=prob.c, a_eq=prob.a_eq, b_eq=prob.b_eq,
                           a_le=np.vstack([prob.a_le, a2]),
-                          b_le=np.concatenate([prob.b_le, b2]),
-                          lo=prob.lo, hi=prob.hi)
-        old_keys = list(range(prob.a_le.shape[0]))
-        start = remap_start(sol0, n, prob.a_eq.shape[0], old_keys,
-                            old_keys + [("fix", j)])
+                          b_le=np.concatenate([prob.b_le, b2]), lo=lo, hi=hi)
+        start = remap_start(sol0, n, prob.a_eq.shape[0], prob2.a_le.shape[0])
         warm = solve_lp(prob2, start=start)
         cold = solve_lp(prob2)
         assert warm.status is cold.status
         if warm.status is LpStatus.OPTIMAL:
             assert warm.objective == pytest.approx(cold.objective, abs=1e-7,
                                                    rel=1e-7)
+        agree[warm.status] += 1
+    assert agree[LpStatus.OPTIMAL] >= 50 and agree[LpStatus.INFEASIBLE] >= 50
 
 
-def test_remap_start_rejects_unknown_keys():
-    prob = random_lp(np.random.default_rng(0), n=3)
-    sol = solve_lp(prob)
-    old_keys = list(range(prob.a_le.shape[0]))
-    assert remap_start(sol, prob.n, prob.a_eq.shape[0],
-                       old_keys + ["missing"], old_keys) is None
+def test_unusable_start_falls_back_to_cold():
+    """A start that repeats a column, is singular, names a column out of
+    range or puts a nonbasic column at an infinite bound gives the cold
+    answer."""
+    prob = LpProblem(c=[-1.0, -1.0, -2.0], a_eq=np.zeros((0, 3)), b_eq=[],
+                     a_le=[[1.0, 2.0, 1.0], [2.0, 4.0, 1.0]], b_le=[4.0, 6.0],
+                     lo=[0.5, 0.0, 0.0], hi=np.full(3, 5.0))
+    cold = solve_lp(prob)
+    assert cold.status is LpStatus.OPTIMAL
+    at_lo = np.zeros(3 + 2 + 2, dtype=np.int8)
+    slack_at_inf = at_lo.copy()
+    slack_at_inf[4] = 1  # second slack "at its upper bound", which is inf
+    for basis, status in (([0, 0], at_lo),
+                          ([0, 1], at_lo),  # column 1 is twice column 0
+                          ([0, 7], at_lo),
+                          ([0, 2], slack_at_inf)):
+        warm = solve_lp(prob, start=LpStart(basis=np.array(basis),
+                                            col_status=status))
+        assert warm.status is cold.status
+        assert warm.objective == cold.objective
+        assert warm.iterations == cold.iterations

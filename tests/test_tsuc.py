@@ -3,10 +3,11 @@ import pytest
 
 from ucsm.errors import FeatureMismatch, TooLarge
 from ucsm.grid import build_matrices
-from ucsm.scenarios import build_scenarios
+from ucsm.scenarios import build_scenarios, feature_vector
+from ucsm.simplex import LpStatus, solve_lp
 from ucsm.svm import Hyperplane
 from ucsm.tsuc import (TsucInstance, TsucMode, TsucStatus, brute_force_tsuc,
-                       build_feature_vector, constraint_counts,
+                       build_milp, constraint_counts,
                        minimal_transitions, schedule_is_logical, solve_tsuc)
 from tests.conftest import make_tiny_case
 
@@ -52,11 +53,35 @@ def test_schedule_logic_window(tiny_case):
 
 def test_feature_vector_layout(tiny_case):
     scen = build_scenarios(tiny_case, 1, 3, 0)[0]
-    phi = build_feature_vector(scen, 1, np.array([55.0, 12.0]))
+    phi = feature_vector(scen.mu, scen.sigma, np.array([55.0, 12.0]))
     assert phi.size == 4
     np.testing.assert_allclose(phi[:1], scen.mu)
     np.testing.assert_allclose(phi[1:2], scen.sigma)
     np.testing.assert_allclose(phi[2:], [55.0, 12.0])
+
+
+def test_node_lp_pins_fixings_by_bounds(tiny_case):
+    """Branching pins each fixed column by lo == hi and adds no row: at any
+    depth the node LP's <= rows are the eager rows plus the lazy pool."""
+    scens = build_scenarios(tiny_case, 2, 3, 5)
+    milp = build_milp(TsucInstance(tiny_case, scens, 3, TsucMode.FULL_NETWORK,
+                                   pwl_segments=3))
+    fix = ()
+    for col, val in ((None, None), (0, 1), (3, 0), (1, 1)):
+        if col is not None:
+            fix += ((col, val),)
+        lp = milp.lp_problem(fix)
+        assert lp.b_le.size == milp.b_le.size + len(milp.lazy_b)
+        pinned = np.zeros(milp.ncols, dtype=bool)
+        for j, v in fix:
+            assert lp.lo[j] == lp.hi[j] == v
+            pinned[j] = True
+        np.testing.assert_array_equal(lp.lo[~pinned], milp.lo[~pinned])
+        np.testing.assert_array_equal(lp.hi[~pinned], milp.hi[~pinned])
+        sol = solve_lp(lp)
+        assert sol.status is LpStatus.OPTIMAL
+        milp.add_lazy(milp.violated_lazy_rows(sol.x))
+    assert milp.lazy_b  # the pool grew along the way
 
 
 def test_full_matches_brute_force(tiny_case):
