@@ -41,7 +41,6 @@ class Scenario:
 class LabeledSample:
     features: np.ndarray
     label: int
-    flows: np.ndarray | None = None  # kept in memory for reproducibility checks
 
 
 @dataclass
@@ -140,7 +139,7 @@ def generate_dataset(
             res = solve_dcopf(case, wind, load, True, mats=mats, segments=segments)
             if res.status is DcopfStatus.OPTIMAL:
                 samples.append(LabeledSample(feature_vector(mu, sigma, res.dispatch),
-                                             1, res.flows))
+                                             1))
                 n_pos += 1
         draw += 1
 
@@ -166,7 +165,7 @@ def generate_dataset(
             if label == -1 and n_neg >= cap:
                 continue
             samples.append(LabeledSample(feature_vector(mu, sigma, res.dispatch),
-                                         label, res.flows))
+                                         label))
             if label == 1:
                 n_pos += 1
             else:

@@ -251,7 +251,7 @@ def solve_lp(
     m_le = problem.a_le.shape[0]
     m = m_eq + m_le
 
-    a = np.vstack([problem.a_eq, problem.a_le]) if m else np.zeros((0, n))
+    a = np.vstack([problem.a_eq, problem.a_le])
     b = np.concatenate([problem.b_eq, problem.b_le])
 
     lo = np.concatenate([problem.lo, np.zeros(m_le), np.zeros(m)])
@@ -262,16 +262,6 @@ def solve_lp(
     t = _Tableau(a=a, b=b, m_eq=m_eq, lo=lo, hi=hi, art_sign=np.ones(m))
     ns, nk = n, m_le
     ncols = t.n_cols
-
-    if m == 0:
-        # Pure bound problem: each variable sits at its cheaper bound.
-        x = np.where(problem.c > 0, lo[:n],
-                     np.where(problem.c < 0, hi[:n],
-                              np.where(np.isfinite(lo[:n]), lo[:n], 0.0)))
-        if np.any(~np.isfinite(x)):
-            return LpSolution(LpStatus.UNBOUNDED, x, np.zeros(0), -np.inf, 0)
-        obj = float(problem.c @ x)
-        return LpSolution(LpStatus.OPTIMAL, x, np.zeros(0), obj, 0, obj)
 
     warm = (start is not None and start.basis.size == m
             and start.col_status.size == ncols and _install_warm_start(t, start))

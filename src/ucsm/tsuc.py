@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -136,8 +136,10 @@ class _Milp:
 
     Eager rows: transition logic, min-up/min-down, per-(s,t) system balance,
     and the capacity link sum(delta) <= (pmax - pmin) u. Lazy families (the
-    exact capacity link and the dispatch table's ramp, line-flow or
-    surrogate rows) are materialized only when violated.
+    exact capacity link per (g, s, t) and the dispatch table's ramp,
+    line-flow or surrogate rows per (s, r)) are materialized only when
+    violated; the masks cap_on (G, S, T) and row_on (S, R) mark the rows
+    already in the pool.
     """
 
     def __init__(self, inst: TsucInstance, mats: GridMatrices | None = None):
@@ -200,7 +202,8 @@ class _Milp:
         # Lazy pool: activated rows accumulate across the whole search.
         self.lazy_a: list[np.ndarray] = []
         self.lazy_b: list[float] = []
-        self.lazy_keys: set = set()
+        self.cap_on = np.zeros((G, S, T), dtype=bool)
+        self.row_on = np.zeros((S, self.row_tol.size), dtype=bool)
 
     # -- column helpers ----------------------------------------------------
 
@@ -326,30 +329,25 @@ class _Milp:
         Row r reads coef[r] @ p_s <= rhs[s, r] over scenario s's hour-major
         dispatch p_s[t*G + g]: ramp-up and ramp-down for t >= 1, then the
         line-flow rows (full mode) or the learned halfspace (surrogate
-        mode). It is violated beyond tol[r], and enters the lazy pool under
-        key row_key[r] + (s, row_t[r]). Rows sharing a key prefix are
-        consecutive and ordered by hour; row_group numbers the prefixes.
+        mode). It is violated beyond tol[r].
         """
         inst, case = self.inst, self.inst.case
         G, S, T = self.G, self.S, self.T
-        coef, rhs, tol, keys, hours, group = [], [], [], [], [], []
+        coef, rhs, tol = [], [], []
 
-        def add(key, t, c, b, eps):
-            group.append(group[-1] + (key != keys[-1]) if keys else 0)
+        def add(c, b, eps):
             coef.append(c.ravel())
             rhs.append(np.broadcast_to(b, (S,)))
             tol.append(eps)
-            keys.append(key)
-            hours.append(t)
 
         # Ramps: p_t - p_{t-1} <= RU; p_{t-1} - p_t <= RD.
-        for name, sign in (("ru", 1.0), ("rd", -1.0)):
+        for sign in (1.0, -1.0):
             for g, gen in enumerate(case.generators):
                 limit = gen.ramp_up if sign > 0 else gen.ramp_down
                 for t in range(1, T):
                     c = np.zeros((T, G))
                     c[t, g], c[t - 1, g] = sign, -sign
-                    add((name, g), t, c, float(limit), FLOW_TOL_MW)
+                    add(c, float(limit), FLOW_TOL_MW)
 
         if inst.mode is TsucMode.FULL_NETWORK:
             # sign * flow <= limit, flow = PTDF (wind - load + gen injections).
@@ -361,8 +359,7 @@ class _Milp:
                     for t in range(T):
                         c = np.zeros((T, G))
                         c[t] = sign * gcoef[li]
-                        add(("f", int(sign), li), t, c,
-                            limit - sign * base[li, :, t], FLOW_TOL_MW)
+                        add(c, limit - sign * base[li, :, t], FLOW_TOL_MW)
         else:
             # Learned halfspace w @ [mu, sigma, p_t] + b >= 0, written as
             # -w_p @ p_t <= const + SURROGATE_TOL.
@@ -378,14 +375,11 @@ class _Milp:
             for t in range(T):
                 c = np.zeros((T, G))
                 c[t] = -w_p
-                add(("svm",), t, c, const + SURROGATE_TOL, 0.0)
+                add(c, const + SURROGATE_TOL, 0.0)
 
         self.row_coef = np.array(coef).reshape(-1, T * G)
         self.row_rhs = np.array(rhs).reshape(-1, S).T  # (S, R)
         self.row_tol = np.array(tol)
-        self.row_key = keys
-        self.row_t = hours
-        self.row_group = np.array(group, dtype=int)
 
     # -- lazy families -----------------------------------------------------
 
@@ -398,40 +392,32 @@ class _Milp:
         """(G, S, T) dispatch implied by a column vector."""
         return self._p(x).reshape(self.S, self.T, self.G).transpose(2, 0, 1)
 
-    def violated_lazy_rows(self, x: np.ndarray):
-        """(key, row, rhs) for every not-yet-active violated lazy row."""
+    def add_violated_rows(self, x: np.ndarray) -> int:
+        """Pool every violated lazy row not pooled yet; returns how many."""
         p = self._p(x)
-        out = []
 
         # Exact capacity link: sum_k delta <= (pmax - pmin) u per (g, s, t).
         pg = p.reshape(self.S, self.T, self.G).transpose(2, 0, 1)
         u = x[:self.n_u].reshape(self.T, self.G).T
         excess = (pg - self.pmin[:, None, None] * u[:, None, :]
                   - (self.pmax - self.pmin)[:, None, None] * u[:, None, :])
-        for g, s, t in zip(*np.nonzero(excess > FLOW_TOL_MW)):
-            key = ("cap", g, s, t)
-            if key not in self.lazy_keys:
-                row = np.zeros(self.ncols)
-                row[self.d_cols(g, s, t)] = 1.0
-                row[self.u_col(g, t)] = -(self.pmax[g] - self.pmin[g])
-                out.append((key, row, 0.0))
-
-        # Dispatch-table hits, pooled in (key prefix, scenario, hour) order:
-        # the pool's row order steers the simplex's tie-breaking.
-        ss, rs = np.nonzero(p @ self.row_coef.T - self.row_rhs > self.row_tol)
-        for i in np.lexsort((rs, ss, self.row_group[rs])):
-            s, r = ss[i], rs[i]
-            key = self.row_key[r] + (s, self.row_t[r])
-            if key not in self.lazy_keys:
-                out.append((key, self._p_row(self.row_coef[r], s),
-                            self.row_rhs[s, r]))
-        return out
-
-    def add_lazy(self, rows) -> None:
-        for key, row, rhs in rows:
-            self.lazy_keys.add(key)
+        cap = (excess > FLOW_TOL_MW) & ~self.cap_on
+        for g, s, t in zip(*np.nonzero(cap)):
+            row = np.zeros(self.ncols)
+            row[self.d_cols(g, s, t)] = 1.0
+            row[self.u_col(g, t)] = -(self.pmax[g] - self.pmin[g])
             self.lazy_a.append(row)
-            self.lazy_b.append(rhs)
+            self.lazy_b.append(0.0)
+
+        # Dispatch-table rows, pooled in (scenario, row) order: the pool's
+        # row order steers the simplex's tie-breaking.
+        hit = (p @ self.row_coef.T - self.row_rhs > self.row_tol) & ~self.row_on
+        for s, r in zip(*np.nonzero(hit)):
+            self.lazy_a.append(self._p_row(self.row_coef[r], s))
+            self.lazy_b.append(self.row_rhs[s, r])
+        self.cap_on |= cap
+        self.row_on |= hit
+        return int(cap.sum() + hit.sum())
 
     def lp_problem(self, fix: tuple) -> LpProblem:
         """Node LP: eager rows plus the activated lazy rows, which are only
@@ -460,7 +446,7 @@ def _solve_node(
     fix: tuple,
     stats: SolveStats,
     base: LpSolution | None = None,
-):
+) -> LpSolution:
     """LP bound with lazy rows grown until none are violated.
 
     ``base`` is a previously solved LP — the parent node or the previous
@@ -473,12 +459,8 @@ def _solve_node(
                                 milp.b_le.size + len(milp.lazy_b))
         sol = solve_lp(milp.lp_problem(fix), start=start)
         stats.lp_solves += 1
-        if sol.status is not LpStatus.OPTIMAL:
-            return sol.status, np.inf, None, None
-        violated = milp.violated_lazy_rows(sol.x)
-        if not violated:
-            return sol.status, sol.objective, sol.x, sol
-        milp.add_lazy(violated)
+        if sol.status is not LpStatus.OPTIMAL or not milp.add_violated_rows(sol.x):
+            return sol
         base = sol
 
 
@@ -541,11 +523,11 @@ def _repair_schedule(case: SystemCase, u: np.ndarray, u0: np.ndarray) -> np.ndar
 def _heuristic_incumbent(
     milp: _Milp, x: np.ndarray, stats: SolveStats,
 ) -> tuple[float, np.ndarray | None, np.ndarray | None]:
-    """Round-and-repair primal heuristic: a feasible schedule and its cost.
+    """Round-and-repair primal heuristic: an incumbent (cost, u, p).
 
     Rounds the relaxation's commitment, repairs the up/down logic, and
     prices the result with one exact dispatch LP per scenario. Returns
-    (inf, None, None) when any scenario cannot be dispatched.
+    (inf, None, None) when no candidate can be dispatched.
     """
     inst, case = milp.inst, milp.inst.case
     G, T = milp.G, milp.T
@@ -566,20 +548,16 @@ def _heuristic_incumbent(
                 k += 1
         return _repair_schedule(case, u, inst.initial_status)
 
-    # Progressively more committed candidates; ramps or side constraints
-    # can reject sparse schedules that cover raw capacity.
+    # Progressively more committed candidates, ending with all units on;
+    # ramps or side constraints can reject sparse schedules that cover raw
+    # capacity.
     tried: set = set()
-    for threshold in (0.5, 0.2, 0.05):
+    for threshold in (0.5, 0.2, 0.05, -np.inf):
         u = candidate(threshold)
         key = u.tobytes()
         if key in tried:
             continue
         tried.add(key)
-        result = _price_schedule(milp, u, stats)
-        if result is not None:
-            return result
-    u = np.ones((G, T), dtype=int)
-    if u.tobytes() not in tried:
         result = _price_schedule(milp, u, stats)
         if result is not None:
             return result
@@ -630,68 +608,54 @@ def solve_tsuc(
     milp = build_milp(inst, mats)
 
     counter = itertools.count()
-    status, bound, x, base = _solve_node(milp, (), stats)
-    stats.nodes = 1
-    incumbent_obj = np.inf
-    incumbent_x = None
-    incumbent_sched = None  # (u, p_all) from the rounding heuristic
-    heap = []
-    if status is LpStatus.OPTIMAL:
-        h_obj, h_u, h_p = _heuristic_incumbent(milp, x, stats)
-        if h_obj < incumbent_obj:
-            incumbent_obj, incumbent_sched = h_obj, (h_u, h_p)
-        heap.append((bound, next(counter), (), x, base))
+    best = (np.inf, None, None)  # incumbent (objective, u, p)
+    heap = []  # open fractional nodes (bound, tiebreak, fix, sol)
+    pruned_min = np.inf  # smallest bound discarded by the cutoff
 
     def cutoff() -> float:
-        if not np.isfinite(incumbent_obj):
+        if not np.isfinite(best[0]):
             return np.inf
-        return incumbent_obj - gap_tol * (1.0 + abs(incumbent_obj))
+        return best[0] - gap_tol * (1.0 + abs(best[0]))
 
-    node_limited = False
-    pruned_min = np.inf  # smallest bound discarded by the cutoff
-    while heap:
-        bound, _, fix, x, base = heapq.heappop(heap)
-        if bound >= cutoff():
-            pruned_min = min(pruned_min, bound)
-            continue
-        uvals = x[:milp.n_u]
-        frac = np.abs(uvals - np.rint(uvals))
-        if frac.max() <= INTEGRALITY_TOL:
-            if bound < incumbent_obj:
-                incumbent_obj, incumbent_x = bound, x
-            continue
-        if stats.nodes >= node_limit:
-            node_limited = True
-            break
-        j = int(np.argmax(np.where(frac > INTEGRALITY_TOL, frac, -1.0)))
+    def settle(sol: LpSolution, fix: tuple) -> None:
+        nonlocal best, pruned_min
+        stats.nodes += 1
+        if sol.status is not LpStatus.OPTIMAL:
+            return
+        uvals = sol.x[:milp.n_u]
+        if np.abs(uvals - np.rint(uvals)).max() <= INTEGRALITY_TOL:
+            if sol.objective < best[0]:
+                u = np.rint(uvals.reshape(milp.T, milp.G).T).astype(int)
+                best = (sol.objective, u, milp.dispatch_of(sol.x))
+        elif sol.objective < cutoff():
+            heapq.heappush(heap, (sol.objective, next(counter), fix, sol))
+        else:
+            pruned_min = min(pruned_min, sol.objective)
+
+    root = _solve_node(milp, (), stats)
+    if root.status is LpStatus.OPTIMAL:
+        best = _heuristic_incumbent(milp, root.x, stats)
+    settle(root, ())
+
+    # The node limit is checked on the heap's top before it is popped, so
+    # the best open node stays in the gap.
+    while heap and heap[0][0] < cutoff() and stats.nodes < node_limit:
+        _, _, fix, sol = heapq.heappop(heap)
+        uvals = sol.x[:milp.n_u]
+        j = int(np.argmax(np.abs(uvals - np.rint(uvals))))
         for val in (0, 1):
             cfix = fix + ((j, val),)
-            st, cb, cx, cbase = _solve_node(milp, cfix, stats, base)
-            stats.nodes += 1
-            if st is not LpStatus.OPTIMAL:
-                continue
-            cu = cx[:milp.n_u]
-            if np.abs(cu - np.rint(cu)).max() <= INTEGRALITY_TOL:
-                if cb < incumbent_obj:
-                    incumbent_obj, incumbent_x = cb, cx
-                    incumbent_sched = None
-            elif cb < cutoff():
-                heapq.heappush(heap, (cb, next(counter), cfix, cx, cbase))
-            else:
-                pruned_min = min(pruned_min, cb)
+            settle(_solve_node(milp, cfix, stats, sol), cfix)
 
     stats.wall_time = time.perf_counter() - t_start
-    if incumbent_x is None and incumbent_sched is None:
-        final = TsucStatus.NODE_LIMIT if node_limited else TsucStatus.INFEASIBLE
-        return _solution(milp, final, stats, np.inf, None, None)
-    best_open = min((b for b, *_ in heap), default=np.inf)
-    lower = min(incumbent_obj, best_open, pruned_min)
-    stats.gap = abs(incumbent_obj - lower) / (1.0 + abs(incumbent_obj))
-    status = TsucStatus.NODE_LIMIT if node_limited else TsucStatus.OPTIMAL
-    if incumbent_x is not None:
-        u = np.rint(incumbent_x[:milp.n_u].reshape(milp.T, milp.G).T)
-        incumbent_sched = (u.astype(int), milp.dispatch_of(incumbent_x))
-    return _solution(milp, status, stats, incumbent_obj, *incumbent_sched)
+    if heap and heap[0][0] < cutoff():
+        status = TsucStatus.NODE_LIMIT
+    else:
+        status = TsucStatus.INFEASIBLE if best[1] is None else TsucStatus.OPTIMAL
+    if best[1] is not None:
+        lower = min(best[0], heap[0][0] if heap else np.inf, pruned_min)
+        stats.gap = abs(best[0] - lower) / (1.0 + abs(best[0]))
+    return _solution(milp, status, stats, *best)
 
 
 def _dispatch_lp(

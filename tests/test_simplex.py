@@ -47,12 +47,15 @@ def test_unbounded():
 
 
 def test_bound_flip_only_problem():
-    # No rows at all: variables sit at the cheaper bound.
-    prob = LpProblem(c=[1.0, -1.0], a_eq=np.zeros((0, 2)), b_eq=[],
-                     a_le=np.zeros((0, 2)), b_le=[],
-                     lo=np.array([2.0, 0.0]), hi=np.array([5.0, 3.0]))
+    # No rows at all: variables sit at the cheaper bound, and a zero-cost
+    # column at its only finite bound.
+    prob = LpProblem(c=[1.0, -1.0, 0.0], a_eq=np.zeros((0, 3)), b_eq=[],
+                     a_le=np.zeros((0, 3)), b_le=[],
+                     lo=np.array([2.0, 0.0, -np.inf]),
+                     hi=np.array([5.0, 3.0, -2.0]))
     sol = solve_lp(prob)
-    np.testing.assert_allclose(sol.x, [2.0, 3.0])
+    assert sol.status is LpStatus.OPTIMAL
+    np.testing.assert_allclose(sol.x, [2.0, 3.0, -2.0])
 
 
 def test_negative_lower_bounds():

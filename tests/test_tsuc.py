@@ -60,11 +60,14 @@ def test_feature_vector_layout(tiny_case):
     np.testing.assert_allclose(phi[2:], [55.0, 12.0])
 
 
-def test_node_lp_pins_fixings_by_bounds(tiny_case):
+def test_node_lp_pins_fixings_by_bounds():
     """Branching pins each fixed column by lo == hi and adds no row: at any
-    depth the node LP's <= rows are the eager rows plus the lazy pool."""
-    scens = build_scenarios(tiny_case, 2, 3, 5)
-    milp = build_milp(TsucInstance(tiny_case, scens, 3, TsucMode.FULL_NETWORK,
+    depth the node LP's <= rows are the eager rows plus the lazy pool, and
+    the pool holds each capacity or line row once (line 1-2 at 40 MW binds
+    after the first fixing)."""
+    case = make_tiny_case(line_limit=40.0)
+    scens = build_scenarios(case, 2, 3, 5)
+    milp = build_milp(TsucInstance(case, scens, 3, TsucMode.FULL_NETWORK,
                                    pwl_segments=3))
     fix = ()
     for col, val in ((None, None), (0, 1), (3, 0), (1, 1)):
@@ -80,8 +83,10 @@ def test_node_lp_pins_fixings_by_bounds(tiny_case):
         np.testing.assert_array_equal(lp.hi[~pinned], milp.hi[~pinned])
         sol = solve_lp(lp)
         assert sol.status is LpStatus.OPTIMAL
-        milp.add_lazy(milp.violated_lazy_rows(sol.x))
-    assert milp.lazy_b  # the pool grew along the way
+        milp.add_violated_rows(sol.x)
+        assert milp.add_violated_rows(sol.x) == 0  # each row pooled once
+        assert len(milp.lazy_b) == milp.cap_on.sum() + milp.row_on.sum()
+    assert milp.cap_on.any() and milp.row_on.any()  # both families pooled
 
 
 def test_full_matches_brute_force(tiny_case):
@@ -92,6 +97,18 @@ def test_full_matches_brute_force(tiny_case):
     ref = brute_force_tsuc(inst)
     assert got.status is TsucStatus.OPTIMAL
     assert got.objective == pytest.approx(ref.objective, rel=1e-6)
+
+
+def test_node_limit_keeps_open_bound_in_gap(tiny_case):
+    """Stopped at the root, the search still reports the root's bound:
+    the open node stays in the gap."""
+    scens = build_scenarios(tiny_case, 2, 4, 2)
+    inst = TsucInstance(tiny_case, scens, 4, TsucMode.FULL_NETWORK,
+                        pwl_segments=4)
+    assert solve_tsuc(inst).stats.nodes > 1
+    sol = solve_tsuc(inst, node_limit=1)
+    assert sol.status is TsucStatus.NODE_LIMIT
+    assert sol.stats.gap > 1e-6
 
 
 def test_fuzzed_oracle_equivalence(rng):
