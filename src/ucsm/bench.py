@@ -18,8 +18,9 @@ from .grid import SystemCase, build_matrices
 from .scenarios import build_scenarios, generate_dataset
 from .svm import (ConfusionMatrix, SvmConfig, evaluate, fit_standardizer,
                   train_svm, unscale_hyperplane)
-from .tsuc import (TsucInstance, TsucMode, TsucStatus, constraint_counts,
-                   solve_tsuc)
+from .tsuc import TsucInstance, TsucMode, constraint_counts, solve_tsuc
+
+C_NEGATIVE = 10.0  # infeasible-class penalty, as ``ucsm train`` defaults to
 
 
 @dataclass
@@ -131,7 +132,6 @@ def run_benchmark(
     pwl_segments: int = 4,
     gap_tol: float = 1e-6,
     time_repeats: int = 3,
-    c_negative: float = 10.0,
 ) -> BenchmarkReport:
     """gen -> train -> solve(full) -> solve(surrogate) over `trials` seeds.
 
@@ -150,7 +150,7 @@ def run_benchmark(
             xtr, ytr = ds.train
             xte, yte = ds.test
             std = fit_standardizer(xtr)
-            cfg = SvmConfig(c_positive=1.0, c_negative=c_negative,
+            cfg = SvmConfig(c_positive=1.0, c_negative=C_NEGATIVE,
                             tolerance=1e-4, max_passes=1000,
                             rng_seed=trial_seed)
             hs, train_rep = train_svm(std.transform(xtr), ytr, cfg,

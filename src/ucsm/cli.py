@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 property failure, 2 input error, 3 data error,
 4 model/case mismatch. An optional key-value config file (path from
---config or the UCSM_CONFIG environment variable) supplies flag defaults;
-explicit flags win.
+--config or the UCSM_CONFIG environment variable) supplies the chosen
+subcommand's flag defaults; explicit flags win, and a value its flag
+cannot parse is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -62,26 +62,6 @@ def _read_config(path: str | None) -> dict:
     return out
 
 
-def _apply_config(args: argparse.Namespace, parser_defaults: dict) -> None:
-    """Config values override defaults but never explicit flags."""
-    cfg = _read_config(getattr(args, "config", None))
-    for key, raw in cfg.items():
-        if not hasattr(args, key):
-            continue
-        if getattr(args, key) != parser_defaults.get(key):
-            continue  # flag given explicitly
-        current = parser_defaults.get(key)
-        if isinstance(current, bool):
-            val = raw.lower() in ("1", "true", "yes")
-        elif isinstance(current, int):
-            val = int(raw)
-        elif isinstance(current, float):
-            val = float(raw)
-        else:
-            val = raw
-        setattr(args, key, val)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -126,13 +106,12 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _solution_csv(sol, case, scens) -> str:
+def _solution_csv(sol, scens, flow_rows: int, surrogate_rows: int) -> str:
     lines = ["# objective=%.10g" % sol.objective,
              "# gap=%.3g" % sol.stats.gap,
              "# nodes=%d" % sol.stats.nodes,
              "# wall_time_ms=%.3g" % (1000.0 * sol.stats.wall_time),
-             "# flow_rows=%d surrogate_rows=%d" % (sol.flow_rows,
-                                                   sol.surrogate_rows),
+             "# flow_rows=%d surrogate_rows=%d" % (flow_rows, surrogate_rows),
              "section,g,s,t,value"]
     G, T = sol.schedule.u.shape
     for g in range(G):
@@ -161,11 +140,11 @@ def cmd_solve(args) -> int:
     inst = TsucInstance(case, scens, args.horizon, mode, hyperplane=hp,
                         pwl_segments=args.segments)
     counts = constraint_counts(case.n_lines, args.scenarios, args.horizon)
+    full = mode is TsucMode.FULL_NETWORK
+    rows = (counts["full_rows"] if full else 0,
+            0 if full else counts["surrogate_rows"])
     sol = solve_tsuc(inst, gap_tol=args.gap_tol)
-    if mode is TsucMode.FULL_NETWORK:
-        print(f"constraint rows: {counts['full_rows']} flow, 0 surrogate")
-    else:
-        print(f"constraint rows: 0 flow, {counts['surrogate_rows']} surrogate")
+    print("constraint rows: %d flow, %d surrogate" % rows)
     print(f"status: {sol.status.value}")
     if sol.status is TsucStatus.INFEASIBLE:
         return EXIT_DATA
@@ -173,7 +152,7 @@ def cmd_solve(args) -> int:
           % (sol.objective, sol.stats.gap, sol.stats.nodes,
              1000.0 * sol.stats.wall_time))
     if args.out:
-        Path(args.out).write_text(_solution_csv(sol, case, scens))
+        Path(args.out).write_text(_solution_csv(sol, scens, *rows))
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -352,7 +331,8 @@ def cmd_validate(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its subcommand parsers by name."""
     p = argparse.ArgumentParser(prog="ucsm",
                                 description="surrogate-constraint stochastic "
                                             "unit commitment toolkit")
@@ -408,17 +388,21 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["lp", "grid", "dcopf", "tsuc", "monotone"])
     v.add_argument("--seed", type=int, default=0)
     v.set_defaults(func=cmd_validate)
-    return p
+    return p, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
-    defaults = {a.dest: a.default
-                for g in parser._subparsers._group_actions
-                for a in g.choices[args.command]._actions}
     try:
-        _apply_config(args, defaults)
+        # Config values become the subcommand's defaults, so explicit flags
+        # win, and argparse converts each one with its flag's type.
+        cfg = _read_config(args.config)
+        own = {k: v for k, v in cfg.items()
+               if hasattr(args, k) and k not in ("config", "command", "func")}
+        if own:
+            commands[args.command].set_defaults(**own)
+            args = parser.parse_args(argv)
         return args.func(args)
     except (FileNotFoundError, ParseError, ValidationError,
             DimensionMismatch) as exc:

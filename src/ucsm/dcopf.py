@@ -128,11 +128,7 @@ def solve_dcopf(
                        float(sol.objective + fixed))
 
 
-def check_feasibility(
-    case: SystemCase,
-    flows_mw: np.ndarray,
-    tol: float = FEASIBILITY_TOL_MW,
-) -> FeasibilityLabel:
+def check_feasibility(case: SystemCase, flows_mw: np.ndarray) -> FeasibilityLabel:
     """Label a flow vector against the thermal line limits."""
     flows_mw = np.asarray(flows_mw, dtype=float)
     if flows_mw.size != case.n_lines:
@@ -141,7 +137,7 @@ def check_feasibility(
         )
     excess = np.abs(flows_mw) - case.line_limits
     worst = float(max(0.0, excess.max())) if excess.size else 0.0
-    violating = [int(i) for i in np.nonzero(excess > tol)[0]]
+    violating = [int(i) for i in np.nonzero(excess > FEASIBILITY_TOL_MW)[0]]
     value = -1 if violating else 1
     return FeasibilityLabel(value=value, worst_violation=worst,
                             violating_lines=violating)

@@ -190,26 +190,23 @@ def _connected(ids: list[int], lines) -> bool:
 @dataclass
 class GridMatrices:
     b_matrix: np.ndarray   # |B| x |B| susceptance Laplacian (1/x, per unit)
-    reduced_b: np.ndarray  # ref row/col removed
     ptdf: np.ndarray       # |L| x |B|, MW flow per MW injection
     ref_index: int
-    _red_lu: tuple = field(default=None, repr=False)
+    reduced_lu: tuple = field(repr=False)  # LU of b_matrix, ref row/col removed
 
     def angles(self, injection_mw: np.ndarray, base_mva: float) -> np.ndarray:
         """Bus voltage angles (rad) for a balanced MW injection vector, or
         for each column of an (N, k) matrix of them."""
         p = np.asarray(injection_mw, dtype=float) / base_mva
         keep = np.arange(p.shape[0]) != self.ref_index
-        if self._red_lu is None:
-            self._red_lu = lu_factor(self.reduced_b)
-        th_red = lu_backsolve(*self._red_lu, p[keep])
+        th_red = lu_backsolve(*self.reduced_lu, p[keep])
         theta = np.zeros(p.shape)
         theta[keep] = th_red
         return theta
 
 
 def build_matrices(case: SystemCase) -> GridMatrices:
-    """Susceptance Laplacian, its reduced form, and the PTDF matrix."""
+    """Susceptance Laplacian, PTDF matrix, and the reduced Laplacian's LU."""
     nb = case.n_buses
     bmat = np.zeros((nb, nb))
     for ln in case.lines:
@@ -222,8 +219,7 @@ def build_matrices(case: SystemCase) -> GridMatrices:
         bmat[j, i] -= y
     ref = case.ref_index
     keep = np.arange(nb) != ref
-    reduced = bmat[np.ix_(keep, keep)]
-    lu = lu_factor(reduced)  # raises SingularMatrix on a disconnected graph
+    lu = lu_factor(bmat[np.ix_(keep, keep)])  # SingularMatrix if disconnected
     # X[k] = angles for a unit injection at bus k (ref column zero).
     eye = np.eye(nb - 1)
     xred = np.column_stack([lu_backsolve(*lu, eye[:, k]) for k in range(nb - 1)])
@@ -234,12 +230,7 @@ def build_matrices(case: SystemCase) -> GridMatrices:
         i = case.bus_index(ln.from_bus)
         j = case.bus_index(ln.to_bus)
         ptdf[li] = (xfull[i] - xfull[j]) / ln.reactance_x
-    return GridMatrices(bmat, reduced, ptdf, ref, _red_lu=lu)
-
-
-def line_flows(case: SystemCase, mats: GridMatrices, injection_mw: np.ndarray) -> np.ndarray:
-    """MW flows from a balanced MW injection vector via the PTDF."""
-    return mats.ptdf @ np.asarray(injection_mw, dtype=float)
+    return GridMatrices(bmat, ptdf, ref, lu)
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,14 @@ from .errors import DimensionMismatch, SingularMatrix
 PIVOT_TOL = 1e-12
 
 
-def lu_factor(a: np.ndarray, pivot_tol: float = PIVOT_TOL):
+def lu_factor(a: np.ndarray):
     """Factor a square matrix as P A = L U with partial pivoting.
 
     Returns (lu, piv) in the usual packed form: strictly lower triangle of
     ``lu`` holds L (unit diagonal implied), upper triangle holds U.
 
     Raises SingularMatrix when the best available pivot is below
-    ``pivot_tol``.
+    ``PIVOT_TOL``.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -33,7 +33,7 @@ def lu_factor(a: np.ndarray, pivot_tol: float = PIVOT_TOL):
     piv = np.arange(n)
     for k in range(n):
         row = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[row, k]) <= pivot_tol:
+        if abs(lu[row, k]) <= PIVOT_TOL:
             raise SingularMatrix(f"pivot {lu[row, k]:.3e} at column {k}")
         if row != k:
             lu[[k, row]] = lu[[row, k]]
@@ -62,8 +62,3 @@ def lu_backsolve(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
         x[k] /= lu[k, k]
     return x
 
-
-def lu_solve(a: np.ndarray, b: np.ndarray, pivot_tol: float = PIVOT_TOL) -> np.ndarray:
-    """Solve the dense linear system A x = b with partial pivoting."""
-    lu, piv = lu_factor(a, pivot_tol)
-    return lu_backsolve(lu, piv, b)

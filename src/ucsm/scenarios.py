@@ -8,7 +8,7 @@ and order-independent.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ BALANCE_ROUNDS = 50
 @dataclass(frozen=True)
 class Scenario:
     probability: float
-    z_value: float
     mu: np.ndarray                # MW per wind unit
     sigma: np.ndarray             # MW per wind unit
     wind_mw: np.ndarray           # (n_wind, horizon)
@@ -106,7 +105,6 @@ def generate_dataset(
     n_target: int,
     rng_seed: int,
     *,
-    segments: int = 8,
     mats: GridMatrices | None = None,
 ) -> Dataset:
     """Two-step labeled dataset: constrained runs (feasible by construction)
@@ -136,7 +134,7 @@ def generate_dataset(
             if n_pos >= cap:
                 break
             wind = wind_realization(mu, sigma, z)
-            res = solve_dcopf(case, wind, load, True, mats=mats, segments=segments)
+            res = solve_dcopf(case, wind, load, True, mats=mats)
             if res.status is DcopfStatus.OPTIMAL:
                 samples.append(LabeledSample(feature_vector(mu, sigma, res.dispatch),
                                              1))
@@ -155,7 +153,7 @@ def generate_dataset(
             z = grid[rng.integers(grid.size)]
             load = case.loads * mult
             wind = wind_realization(mu, sigma, z)
-            res = solve_dcopf(case, wind, load, False, mats=mats, segments=segments)
+            res = solve_dcopf(case, wind, load, False, mats=mats)
             attempts += 1
             if res.status is not DcopfStatus.OPTIMAL:
                 continue
@@ -215,8 +213,7 @@ def build_scenarios(
         mult = rng.uniform(LOAD_FACTOR_LO, LOAD_FACTOR_HI,
                            size=(case.n_buses, horizon))
         out.append(Scenario(
-            probability=1.0 / n_scenarios,
-            z_value=z, mu=mu, sigma=sigma,
+            probability=1.0 / n_scenarios, mu=mu, sigma=sigma,
             wind_mw=wind, load_multiplier=mult,
         ))
     return out

@@ -27,6 +27,7 @@ INF_BOUND = 1e18
 OPT_TOL = 1e-9     # reduced-cost tolerance, relative to the cost scale
 FEAS_TOL = 1e-9    # bound-violation tolerance, relative to the rhs scale
 PIVOT_TOL = 1e-10  # smallest usable pivot-column entry in a ratio test
+ORACLE_TOL = 1e-9  # brute_force_lp's vertex tolerance, relative to the rhs scale
 
 # Variable states.
 _AT_LO = 0
@@ -524,7 +525,7 @@ def remap_start(sol: LpSolution, n: int, m_eq: int, m_le: int) -> LpStart | None
                    col_status=col_status)
 
 
-def brute_force_lp(problem: LpProblem, tol: float = 1e-9) -> LpSolution:
+def brute_force_lp(problem: LpProblem) -> LpSolution:
     """Vertex-enumeration oracle for small LPs.
 
     Enumerates every choice of n active constraints (equality rows always
@@ -552,10 +553,10 @@ def brute_force_lp(problem: LpProblem, tol: float = 1e-9) -> LpSolution:
 
     need = n - len(rows)
     best_x, best_obj = None, np.inf
-    scale = 1.0 + max(
+    tol = ORACLE_TOL * (1.0 + max(
         float(np.max(np.abs(problem.b_le))) if problem.b_le.size else 0.0,
         float(np.max(np.abs(problem.b_eq))) if problem.b_eq.size else 0.0,
-    )
+    ))
     for combo in itertools.combinations(range(len(cands)), max(need, 0)):
         amat = np.array([r for r, _ in rows] + [cands[k][0] for k in combo])
         bvec = np.array([v for _, v in rows] + [cands[k][1] for k in combo])
@@ -566,11 +567,11 @@ def brute_force_lp(problem: LpProblem, tol: float = 1e-9) -> LpSolution:
         if np.linalg.matrix_rank(amat) < n:
             continue
         feasible = (
-            np.all(problem.a_le @ x <= problem.b_le + tol * scale)
+            np.all(problem.a_le @ x <= problem.b_le + tol)
             and (problem.a_eq.shape[0] == 0
-                 or np.all(np.abs(problem.a_eq @ x - problem.b_eq) <= tol * scale))
-            and np.all(x >= np.maximum(problem.lo, -INF_BOUND) - tol * scale)
-            and np.all(x <= np.minimum(problem.hi, INF_BOUND) + tol * scale)
+                 or np.all(np.abs(problem.a_eq @ x - problem.b_eq) <= tol))
+            and np.all(x >= np.maximum(problem.lo, -INF_BOUND) - tol)
+            and np.all(x <= np.minimum(problem.hi, INF_BOUND) + tol)
         )
         if feasible:
             obj = float(problem.c @ x)

@@ -8,7 +8,7 @@ split back out of the weight vector afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,6 +16,7 @@ from .errors import DimensionMismatch, FeatureMismatch, SingleClassData
 
 C_NEGATIVE_GRID = (1.0, 5.0, 10.0, 50.0, 100.0)
 CV_FOLDS = 5
+MARGIN_TOL = 1e-9  # violations deeper than this leave the margin
 COEFF_PRINT_FLOOR = 1e-3  # relative magnitude below which a report prints 0
 
 
@@ -58,7 +59,6 @@ class SvmConfig:
     c_negative: float = 10.0
     tolerance: float = 1e-6
     max_passes: int = 2000
-    margin_tolerance: float = 1e-9
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -112,7 +112,6 @@ class Hyperplane:
 @dataclass
 class TrainReport:
     alpha: np.ndarray
-    support_indices: np.ndarray
     dual_objective: float
     dual_trace: list[float]
     passes: int
@@ -185,13 +184,12 @@ def train_svm(
     )
     report = TrainReport(
         alpha=alpha,
-        support_indices=np.nonzero(alpha > 0)[0],
         dual_objective=trace[-1],
         dual_trace=trace,
         passes=passes,
         converged=converged,
     )
-    report.margin = compute_margin(h, x, y, config.margin_tolerance)
+    report.margin = compute_margin(h, x, y)
     return h, report
 
 
@@ -257,26 +255,17 @@ def evaluate(h: Hyperplane, x: np.ndarray, y: np.ndarray) -> ConfusionMatrix:
     )
 
 
-def compute_margin(
-    h: Hyperplane,
-    x: np.ndarray,
-    y: np.ndarray,
-    margin_tolerance: float = 1e-9,
-) -> float:
+def compute_margin(h: Hyperplane, x: np.ndarray, y: np.ndarray) -> float:
     """Geometric margin: min of y*(w.phi+b)/||w|| over correctly classified
-    samples, ignoring violations deeper than ``margin_tolerance``."""
+    samples, ignoring violations deeper than ``MARGIN_TOL``."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    if x.shape[1] == h.weights_physical.size:
-        d = x @ h.weights_physical + h.bias_physical
-        norm = float(np.linalg.norm(h.weights_physical))
-    else:
-        d = x @ h.weights_scaled + h.bias_scaled
-        norm = float(np.linalg.norm(h.weights_scaled))
+    d = x @ h.weights_physical + h.bias_physical
+    norm = float(np.linalg.norm(h.weights_physical))
     if norm == 0.0:
         return 0.0
     vals = y * d / norm
-    ok = vals >= -margin_tolerance
+    ok = vals >= -MARGIN_TOL
     return float(vals[ok].min()) if np.any(ok) else 0.0
 
 
@@ -286,8 +275,6 @@ def grid_search_train(
     feature_names: tuple[str, ...],
     *,
     base_config: SvmConfig = SvmConfig(),
-    c_grid=C_NEGATIVE_GRID,
-    folds: int = CV_FOLDS,
 ) -> tuple[Hyperplane, Standardizer, TrainReport, float]:
     """5-fold cross-validated grid search over the infeasible-class penalty.
 
@@ -301,20 +288,19 @@ def grid_search_train(
     rng = np.random.Generator(np.random.PCG64(base_config.rng_seed))
     perm = rng.permutation(n)
     fold_of = np.empty(n, dtype=int)
-    fold_of[perm] = np.arange(n) % folds
+    fold_of[perm] = np.arange(n) % CV_FOLDS
 
     best = None
-    for c_neg in c_grid:
+    for c_neg in C_NEGATIVE_GRID:
         cfg = SvmConfig(
             c_positive=min(base_config.c_positive, c_neg),
             c_negative=c_neg,
             tolerance=base_config.tolerance,
             max_passes=base_config.max_passes,
-            margin_tolerance=base_config.margin_tolerance,
             rng_seed=base_config.rng_seed,
         )
         fps, accs = [], []
-        for f in range(folds):
+        for f in range(CV_FOLDS):
             tr, va = fold_of != f, fold_of == f
             if not (np.any(y[tr] > 0) and np.any(y[tr] < 0)) or not np.any(va):
                 continue

@@ -94,8 +94,6 @@ class TsucSolution:
     angles: np.ndarray | None     # (N, S, T) rad
     objective: float
     stats: SolveStats
-    flow_rows: int = 0
-    surrogate_rows: int = 0
 
 
 def constraint_counts(n_lines: int, n_scenarios: int, horizon: int) -> dict:
@@ -137,9 +135,9 @@ class _Milp:
     Eager rows: transition logic, min-up/min-down, per-(s,t) system balance,
     and the capacity link sum(delta) <= (pmax - pmin) u. Lazy families (the
     exact capacity link per (g, s, t) and the dispatch table's ramp,
-    line-flow or surrogate rows per (s, r)) are materialized only when
-    violated; the masks cap_on (G, S, T) and row_on (S, R) mark the rows
-    already in the pool.
+    line-flow or surrogate rows per (s, r)) are appended to a_le/b_le only
+    when violated; the masks cap_on (G, S, T) and row_on (S, R) mark the
+    rows already in this pool.
     """
 
     def __init__(self, inst: TsucInstance, mats: GridMatrices | None = None):
@@ -193,15 +191,7 @@ class _Milp:
         self._build_eager_rows()
         self._build_dispatch_rows()
 
-        counts = constraint_counts(case.n_lines, S, T)
-        self.flow_row_count = counts["full_rows"] if mode is TsucMode.FULL_NETWORK else 0
-        self.surrogate_row_count = (
-            counts["surrogate_rows"] if mode is TsucMode.SURROGATE else 0
-        )
-
-        # Lazy pool: activated rows accumulate across the whole search.
-        self.lazy_a: list[np.ndarray] = []
-        self.lazy_b: list[float] = []
+        # Lazy pool: activated rows accumulate in a_le/b_le across the search.
         self.cap_on = np.zeros((G, S, T), dtype=bool)
         self.row_on = np.zeros((S, self.row_tol.size), dtype=bool)
 
@@ -395,6 +385,7 @@ class _Milp:
     def add_violated_rows(self, x: np.ndarray) -> int:
         """Pool every violated lazy row not pooled yet; returns how many."""
         p = self._p(x)
+        new_a, new_b = [], []
 
         # Exact capacity link: sum_k delta <= (pmax - pmin) u per (g, s, t).
         pg = p.reshape(self.S, self.T, self.G).transpose(2, 0, 1)
@@ -406,18 +397,21 @@ class _Milp:
             row = np.zeros(self.ncols)
             row[self.d_cols(g, s, t)] = 1.0
             row[self.u_col(g, t)] = -(self.pmax[g] - self.pmin[g])
-            self.lazy_a.append(row)
-            self.lazy_b.append(0.0)
+            new_a.append(row)
+            new_b.append(0.0)
 
         # Dispatch-table rows, pooled in (scenario, row) order: the pool's
         # row order steers the simplex's tie-breaking.
         hit = (p @ self.row_coef.T - self.row_rhs > self.row_tol) & ~self.row_on
         for s, r in zip(*np.nonzero(hit)):
-            self.lazy_a.append(self._p_row(self.row_coef[r], s))
-            self.lazy_b.append(self.row_rhs[s, r])
+            new_a.append(self._p_row(self.row_coef[r], s))
+            new_b.append(self.row_rhs[s, r])
+        if new_a:
+            self.a_le = np.vstack([self.a_le, new_a])
+            self.b_le = np.concatenate([self.b_le, new_b])
         self.cap_on |= cap
         self.row_on |= hit
-        return int(cap.sum() + hit.sum())
+        return len(new_b)
 
     def lp_problem(self, fix: tuple) -> LpProblem:
         """Node LP: eager rows plus the activated lazy rows, which are only
@@ -428,12 +422,8 @@ class _Milp:
         lo, hi = self.lo.copy(), self.hi.copy()
         for col, val in fix:
             lo[col] = hi[col] = val
-        a_le, b_le = self.a_le, self.b_le
-        if self.lazy_a:
-            a_le = np.vstack([a_le, np.array(self.lazy_a)])
-            b_le = np.concatenate([b_le, self.lazy_b])
         return LpProblem(c=self.c, a_eq=self.a_eq, b_eq=self.b_eq,
-                         a_le=a_le, b_le=b_le, lo=lo, hi=hi)
+                         a_le=self.a_le, b_le=self.b_le, lo=lo, hi=hi)
 
 
 def build_milp(inst: TsucInstance, mats: GridMatrices | None = None) -> _Milp:
@@ -455,8 +445,7 @@ def _solve_node(
     while True:
         start = None
         if base is not None:
-            start = remap_start(base, milp.ncols, milp.b_eq.size,
-                                milp.b_le.size + len(milp.lazy_b))
+            start = remap_start(base, milp.ncols, milp.b_eq.size, milp.b_le.size)
         sol = solve_lp(milp.lp_problem(fix), start=start)
         stats.lp_solves += 1
         if sol.status is not LpStatus.OPTIMAL or not milp.add_violated_rows(sol.x):
@@ -483,9 +472,7 @@ def _solution(
                                   milp.inst.case.base_mva)
         angles = angles.reshape(n, milp.S, milp.T)
     return TsucSolution(status=status, schedule=schedule, dispatch=p,
-                        angles=angles, objective=objective, stats=stats,
-                        flow_rows=milp.flow_row_count,
-                        surrogate_rows=milp.surrogate_row_count)
+                        angles=angles, objective=objective, stats=stats)
 
 
 def _repair_schedule(case: SystemCase, u: np.ndarray, u0: np.ndarray) -> np.ndarray:

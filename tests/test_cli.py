@@ -80,18 +80,22 @@ def test_solve_full_reports_row_counts(capsys, tmp_path):
     assert "status: optimal" in text
     body = out.read_text()
     assert body.startswith("# objective=")
+    assert "# flow_rows=168 surrogate_rows=0\n" in body
     assert "section,g,s,t,value" in body
 
 
-def test_solve_surrogate_reports_row_counts(capsys, model_file):
+def test_solve_surrogate_reports_row_counts(capsys, model_file, tmp_path):
+    out = tmp_path / "sol.csv"
     rc = cli.main(["solve", "--case", "sixbus", "--mode", "surrogate",
                    "--model", str(model_file),
-                   "--scenarios", "3", "--horizon", "4", "--segments", "3"])
+                   "--scenarios", "3", "--horizon", "4", "--segments", "3",
+                   "--out", str(out)])
     assert rc == cli.EXIT_OK
     text = capsys.readouterr().out
     # surrogate rows = S * T = 12
     assert "constraint rows: 0 flow, 12 surrogate" in text
     assert "status: optimal" in text
+    assert "# flow_rows=0 surrogate_rows=12\n" in out.read_text()
 
 
 def test_solve_surrogate_without_model_exit_2(capsys):
@@ -138,6 +142,19 @@ def test_explicit_flag_beats_config(tmp_path, capsys):
                    "--scenarios", "1"])
     assert rc == cli.EXIT_OK
     assert "constraint rows: 42 flow" in capsys.readouterr().out
+    # A flag equal to its default still beats the config: 2 * 7 * 3 * 3.
+    rc = cli.main(["--config", str(cfg), "solve", "--case", "sixbus",
+                   "--scenarios", "3"])
+    assert rc == cli.EXIT_OK
+    assert "constraint rows: 126 flow" in capsys.readouterr().out
+
+
+def test_malformed_config_value_exit_2(tmp_path):
+    cfg = tmp_path / "ucsm.cfg"
+    cfg.write_text("horizon = three\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(cfg), "solve", "--case", "sixbus"])
+    assert exc.value.code == cli.EXIT_INPUT
 
 
 def test_missing_config_exit_2(tmp_path):

@@ -3,8 +3,8 @@ import pytest
 
 from ucsm.errors import ParseError, ValidationError
 from ucsm.grid import (Bus, Generator, Line, SystemCase, WindUnit,
-                       build_matrices, bundled_case_text, line_flows,
-                       load_bundled_case, parse_case)
+                       build_matrices, bundled_case_text, load_bundled_case,
+                       parse_case)
 from tests.conftest import make_tiny_case
 
 RING_TEXT = """
@@ -110,7 +110,7 @@ def test_ptdf_matches_angle_flows(tiny_case, rng):
     for _ in range(100):
         inj = rng.normal(scale=40.0, size=tiny_case.n_buses)
         inj -= inj.mean()  # balanced
-        via_ptdf = line_flows(tiny_case, mats, inj)
+        via_ptdf = mats.ptdf @ inj
         theta = mats.angles(inj, tiny_case.base_mva)
         direct = np.array([
             (theta[tiny_case.bus_index(ln.from_bus)]

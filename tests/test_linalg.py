@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from ucsm.errors import DimensionMismatch, SingularMatrix
-from ucsm.linalg import lu_backsolve, lu_factor, lu_solve
+from ucsm.linalg import lu_backsolve, lu_factor
+
+
+def _solve(a, b):
+    return lu_backsolve(*lu_factor(a), b)
 
 
 def test_solves_known_system():
     a = np.array([[2.0, 1.0], [1.0, 3.0]])
     b = np.array([5.0, 10.0])
-    x = lu_solve(a, b)
+    x = _solve(a, b)
     np.testing.assert_allclose(a @ x, b, atol=1e-12)
 
 
@@ -17,14 +21,14 @@ def test_random_systems_match_numpy(rng):
         n = int(rng.integers(1, 12))
         a = rng.normal(size=(n, n)) + n * np.eye(n)
         b = rng.normal(size=n)
-        np.testing.assert_allclose(lu_solve(a, b), np.linalg.solve(a, b),
+        np.testing.assert_allclose(_solve(a, b), np.linalg.solve(a, b),
                                    rtol=1e-9, atol=1e-9)
 
 
 def test_matrix_rhs():
     a = np.array([[4.0, 1.0], [2.0, 3.0]])
     b = np.eye(2)
-    x = lu_solve(a, b)
+    x = _solve(a, b)
     np.testing.assert_allclose(a @ x, np.eye(2), atol=1e-12)
 
 
@@ -38,7 +42,7 @@ def test_factorization_reconstructs(rng):
 
 def test_pivoting_handles_zero_leading_entry():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    x = lu_solve(a, np.array([3.0, 7.0]))
+    x = _solve(a, np.array([3.0, 7.0]))
     np.testing.assert_allclose(x, [7.0, 3.0])
 
 

@@ -69,12 +69,15 @@ def test_node_lp_pins_fixings_by_bounds():
     scens = build_scenarios(case, 2, 3, 5)
     milp = build_milp(TsucInstance(case, scens, 3, TsucMode.FULL_NETWORK,
                                    pwl_segments=3))
+    eager = milp.b_le.size  # the pool's rows are appended after these
     fix = ()
     for col, val in ((None, None), (0, 1), (3, 0), (1, 1)):
         if col is not None:
             fix += ((col, val),)
         lp = milp.lp_problem(fix)
-        assert lp.b_le.size == milp.b_le.size + len(milp.lazy_b)
+        pooled = milp.b_le.size - eager
+        assert lp.b_le.size == eager + pooled
+        assert pooled == milp.cap_on.sum() + milp.row_on.sum()
         pinned = np.zeros(milp.ncols, dtype=bool)
         for j, v in fix:
             assert lp.lo[j] == lp.hi[j] == v
@@ -85,7 +88,7 @@ def test_node_lp_pins_fixings_by_bounds():
         assert sol.status is LpStatus.OPTIMAL
         milp.add_violated_rows(sol.x)
         assert milp.add_violated_rows(sol.x) == 0  # each row pooled once
-        assert len(milp.lazy_b) == milp.cap_on.sum() + milp.row_on.sum()
+        assert milp.b_le.size - eager == milp.cap_on.sum() + milp.row_on.sum()
     assert milp.cap_on.any() and milp.row_on.any()  # both families pooled
 
 
