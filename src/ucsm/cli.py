@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 property failure, 2 input error, 3 data error,
 4 model/case mismatch. An optional key-value config file (path from
 --config or the UCSM_CONFIG environment variable) supplies the chosen
 subcommand's flag defaults; explicit flags win, and a value its flag
-cannot parse is a usage error (exit 2).
+cannot parse or does not allow is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -401,8 +401,15 @@ def main(argv=None) -> int:
         own = {k: v for k, v in cfg.items()
                if hasattr(args, k) and k not in ("config", "command", "func")}
         if own:
-            commands[args.command].set_defaults(**own)
+            sub = commands[args.command]
+            sub.set_defaults(**own)
             args = parser.parse_args(argv)
+            # argparse converts a default but never checks its choices.
+            for act in sub._actions:
+                if (act.dest in own and act.choices
+                        and getattr(args, act.dest) not in act.choices):
+                    sub.error(f"config value {act.dest} = {own[act.dest]!r}: "
+                              f"choose from {', '.join(act.choices)}")
         return args.func(args)
     except (FileNotFoundError, ParseError, ValidationError,
             DimensionMismatch) as exc:

@@ -14,7 +14,7 @@ class DimensionMismatch(UcsmError):
 
 
 class ParseError(UcsmError):
-    """Case file could not be parsed.
+    """Input file could not be parsed.
 
     Carries the 1-based line number and a human-readable reason.
     """

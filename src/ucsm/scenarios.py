@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dcopf import DcopfStatus, check_feasibility, solve_dcopf
-from .errors import BalancingFailed, DimensionMismatch
+from .errors import BalancingFailed, DimensionMismatch, ParseError
 from .grid import GridMatrices, SystemCase, build_matrices
 
 Z_MIN, Z_MAX, Z_STEP = -4.0, 4.0, 0.1
@@ -236,16 +236,16 @@ def dataset_to_csv(ds: Dataset) -> str:
 
 
 def dataset_from_csv(text: str) -> Dataset:
-    meta: dict[str, str] = {}
+    meta: dict[str, tuple[int, str]] = {}  # key -> (1-based line, value)
     header = None
     samples = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
             key, _, val = line[1:].strip().partition("=")
-            meta[key.strip()] = val.strip()
+            meta[key.strip()] = (lineno, val.strip())
             continue
         if header is None:
             header = [h.strip() for h in line.split(",")]
@@ -257,22 +257,31 @@ def dataset_from_csv(text: str) -> Dataset:
             raise DimensionMismatch(
                 f"row has {len(parts)} columns, header has {len(header)}"
             )
-        samples.append(LabeledSample(
-            features=np.array([float(v) for v in parts[:-1]]),
-            label=int(float(parts[-1])),
-        ))
+        try:
+            samples.append(LabeledSample(
+                features=np.array([float(v) for v in parts[:-1]]),
+                label=int(float(parts[-1])),
+            ))
+        except (ValueError, OverflowError):
+            raise ParseError(lineno, f"non-numeric field in {line!r}") from None
     if header is None:
         raise DimensionMismatch("dataset file has no header row")
 
-    def _idx(key):
-        raw = meta.get(key, "")
+    def _meta(key, conv, default=""):
+        lineno, raw = meta.get(key, (0, default))
+        try:
+            return conv(raw)
+        except ValueError:
+            raise ParseError(lineno, f"bad value for {key}: {raw!r}") from None
+
+    def _ints(raw):
         return np.array([int(v) for v in raw.split(",") if v], dtype=int)
 
     return Dataset(
         samples=samples,
         feature_names=header[:-1],
-        split_seed=int(meta.get("seed", 0)),
-        train_indices=_idx("train_indices"),
-        test_indices=_idx("test_indices"),
-        case_hash=meta.get("case_hash", ""),
+        split_seed=_meta("seed", int, "0"),
+        train_indices=_meta("train_indices", _ints),
+        test_indices=_meta("test_indices", _ints),
+        case_hash=_meta("case_hash", str),
     )

@@ -3,7 +3,8 @@ starts, bounded dual simplex for warm starts.
 
 Dense implementation with an explicitly maintained basis inverse (rank-1
 eta updates, periodic refactorization by ``np.linalg.inv``). A cold solve
-runs phase 1 from a crash basis of slacks and artificials, then phase 2. A
+runs phase 1 from a crash basis of slacks and artificials, then phase 2,
+in which an artificial phase 1 left basic stays pinned at zero. A
 warm solve factors the given basis, reoptimizes it with the dual simplex
 (which needs a dual feasible basis, as an optimal one stays after rows are
 appended or bounds tightened) and finishes with phase 2 as cleanup. Both
@@ -16,7 +17,7 @@ Bounds with magnitude >= INF_BOUND are treated as unbounded.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -82,7 +83,6 @@ class LpProblem:
 class LpSolution:
     status: LpStatus
     x: np.ndarray
-    duals: np.ndarray  # one multiplier per row, eq rows first
     objective: float
     iterations: int
     dual_objective: float = 0.0
@@ -107,76 +107,135 @@ class LpStart:
     col_status: np.ndarray
 
 
-@dataclass
-class _Tableau:
-    """Mutable simplex state over the standard-form system A x = b."""
+def _nonbasic_value(lo, hi, state):
+    """Where a column in ``state`` sits: the bound the state names, 0 when
+    free (or basic). Elementwise over arrays; one column, the case of every
+    pivot and bound flip, skips numpy's per-call overhead."""
+    if isinstance(state, np.ndarray):
+        return np.where(state == _AT_LO, lo, np.where(state == _AT_HI, hi, 0.0))
+    return lo if state == _AT_LO else hi if state == _AT_HI else 0.0
 
-    a: np.ndarray        # (m, n) structural columns
-    b: np.ndarray
-    m_eq: int
-    lo: np.ndarray       # bounds for structural + slack + artificial columns
-    hi: np.ndarray
-    basis: np.ndarray = field(default=None)
-    status: np.ndarray = field(default=None)
-    xval: np.ndarray = field(default=None)
-    xb: np.ndarray = field(default=None)
-    binv: np.ndarray = field(default=None)
-    art_sign: np.ndarray = field(default=None)
-    since_refactor: int = 0  # pivots since the last factorization
+
+class _Tableau:
+    """Mutable simplex state over the standard-form system [A | U] x = b.
+
+    The one owner of the column model and of the basis inverse. Columns are
+    the structural ones (A), then a block U of signed unit columns, each a
+    row index and a sign: one slack per inequality row (sign +1), then one
+    artificial per row (its sign set by the crash basis). Structural and
+    slack columns may enter the basis; artificials only leave it.
+    """
+
+    def __init__(self, problem: LpProblem):
+        m_eq, m_le = problem.a_eq.shape[0], problem.a_le.shape[0]
+        m = m_eq + m_le
+        self.a = np.vstack([problem.a_eq, problem.a_le])
+        self.b = np.concatenate([problem.b_eq, problem.b_le])
+        self.unit_row = np.concatenate([np.arange(m_eq, m), np.arange(m)])
+        self.unit_sign = np.ones(m_le + m)
+        self.n_struct, self.n_slack = problem.n, m_le
+        self.n_enter = problem.n + m_le  # the artificials follow
+        self.lo = np.concatenate([problem.lo, np.zeros(m_le), np.zeros(m)])
+        self.hi = np.concatenate([problem.hi, np.full(m_le, np.inf),
+                                  np.full(m, np.inf)])
+        self.lo[self.lo <= -INF_BOUND] = -np.inf
+        self.hi[self.hi >= INF_BOUND] = np.inf
+        self.basis = self.status = self.xval = self.xb = self.binv = None
+        self.since_refactor = 0  # pivots since the last factorization
 
     @property
     def m(self) -> int:
         return self.a.shape[0]
 
     @property
-    def n_struct(self) -> int:
-        return self.a.shape[1]
-
-    @property
-    def n_slack(self) -> int:
-        return self.m - self.m_eq
-
-    @property
     def n_cols(self) -> int:
-        return self.n_struct + self.n_slack + self.m
+        return self.unit_row.size + self.n_struct
 
-    def col(self, j: int) -> np.ndarray:
-        ns, nk = self.n_struct, self.n_slack
-        if j < ns:
-            return self.a[:, j]
+    def _times_cols(self, v: np.ndarray) -> np.ndarray:
+        """v @ [A | slack columns], over every column that may enter."""
+        k = self.n_slack
+        return np.concatenate([v @ self.a,
+                               self.unit_sign[:k] * v[self.unit_row[:k]]])
+
+    def ftran(self, j: int) -> np.ndarray:
+        """B^-1 a_j for column j."""
+        if j < self.n_struct:
+            return self.binv @ self.a[:, j]
         e = np.zeros(self.m)
-        if j < ns + nk:
-            e[self.m_eq + (j - ns)] = 1.0
-        else:
-            i = j - ns - nk
-            e[i] = self.art_sign[i]
-        return e
+        e[self.unit_row[j - self.n_struct]] = self.unit_sign[j - self.n_struct]
+        return self.binv @ e
+
+    def price(self, cvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Duals y = c_B B^-1 and the reduced costs of the columns that
+        may enter."""
+        y = cvec[self.basis] @ self.binv
+        return y, cvec[:self.n_enter] - self._times_cols(y)
+
+    def tableau_row(self, r: int) -> np.ndarray:
+        """Row r of B^-1 [A | slack columns]."""
+        return self._times_cols(self.binv[r])
 
     def nonbasic_rhs(self) -> np.ndarray:
         """b minus the contribution of all nonbasic columns at their values."""
         v = self.xval.copy()
         v[self.basis] = 0.0
-        ns, nk = self.n_struct, self.n_slack
-        contrib = self.a @ v[:ns]
-        contrib[self.m_eq:] += v[ns:ns + nk]
-        contrib += self.art_sign * v[ns + nk:]
+        contrib = self.a @ v[:self.n_struct]
+        np.add.at(contrib, self.unit_row,
+                  self.unit_sign * v[self.n_struct:])
         return self.b - contrib
 
+    def cold_start(self):
+        """Every nonbasic column at its nearest finite bound (free ones at
+        zero), and a crash basis: the slack on every inequality row whose
+        slack start is feasible, an artificial signed to start >= 0
+        elsewhere. Cuts phase-1 work to the infeasible rows."""
+        lo, hi = self.lo, self.hi
+        self.status = np.where(
+            np.isfinite(lo), _AT_LO, np.where(np.isfinite(hi), _AT_HI, _FREE)
+        ).astype(np.int8)
+        self.xval = _nonbasic_value(lo, hi, self.status)
+        m_eq = self.m - self.n_slack
+        self.basis = self.n_enter + np.arange(self.m)
+        r = self.nonbasic_rhs()
+        sign = np.where(r >= 0, 1.0, -1.0)
+        self.unit_sign[self.n_slack:] = sign
+        slack = np.nonzero(r[m_eq:] >= 0)[0]
+        self.basis[m_eq + slack] = self.n_struct + slack
+        self.binv = np.diag(sign)
+        self.xb = np.abs(r)
+        self.status[self.basis] = _BASIC
+        self.xval[self.basis] = self.xb
+
+    def warm_start(self, start: LpStart) -> bool:
+        """Adopt an advanced basis with every nonbasic column at the bound
+        its state names; False if it is not a basis or cannot be factored."""
+        basis = start.basis.astype(int)
+        cols = np.unique(basis)
+        if (basis.size != self.m or cols.size != self.m
+                or start.col_status.size != self.n_cols
+                or not np.all((cols >= 0) & (cols < self.n_cols))):
+            return False
+        status = start.col_status.astype(np.int8)
+        status[basis] = _BASIC
+        xval = _nonbasic_value(self.lo, self.hi, status)
+        if not np.all(np.isfinite(xval)):
+            return False
+        self.basis, self.status, self.xval = basis, status, xval
+        try:
+            self.refactor()
+        except SingularMatrix:
+            return False
+        return True
+
     def refactor(self):
-        m, ns, nk = self.m, self.n_struct, self.n_slack
+        m, ns = self.m, self.n_struct
         bmat = np.zeros((m, m))
         js = self.basis
         pos = np.arange(m)
         struct = js < ns
-        if np.any(struct):
-            bmat[:, pos[struct]] = self.a[:, js[struct]]
-        slack = (js >= ns) & (js < ns + nk)
-        if np.any(slack):
-            bmat[self.m_eq + (js[slack] - ns), pos[slack]] = 1.0
-        art = js >= ns + nk
-        if np.any(art):
-            rows = js[art] - ns - nk
-            bmat[rows, pos[art]] = self.art_sign[rows]
+        bmat[:, pos[struct]] = self.a[:, js[struct]]
+        unit = js[~struct] - ns
+        bmat[self.unit_row[unit], pos[~struct]] = self.unit_sign[unit]
         try:
             self.binv = np.linalg.inv(bmat)
         except np.linalg.LinAlgError as exc:
@@ -210,35 +269,6 @@ class _Tableau:
             self.refactor()
 
 
-def _install_warm_start(t: _Tableau, start: LpStart) -> bool:
-    """Adopt an advanced basis with every nonbasic column at the bound its
-    state names; False if it is not a basis or cannot be factored."""
-    basis = start.basis.astype(int)
-    cols = np.unique(basis)
-    if cols.size != t.m or cols[0] < 0 or cols[-1] >= t.n_cols:
-        return False
-    status = start.col_status.astype(np.int8)
-    status[basis] = _BASIC
-    xval = np.where(status == _AT_LO, t.lo,
-                    np.where(status == _AT_HI, t.hi, 0.0))
-    if not np.all(np.isfinite(xval)):
-        return False
-    t.basis, t.status, t.xval = basis, status, xval
-    try:
-        t.refactor()
-    except SingularMatrix:
-        return False
-    return True
-
-
-def _nonbasic_value(lo: float, hi: float, state: int) -> float:
-    if state == _AT_LO:
-        return lo
-    if state == _AT_HI:
-        return hi
-    return 0.0
-
-
 def solve_lp(
     problem: LpProblem,
     *,
@@ -247,81 +277,35 @@ def solve_lp(
 ) -> LpSolution:
     """Solve a bounded-variable LP: two-phase primal simplex from a crash basis,
     or dual simplex plus a primal cleanup from the advanced basis ``start``."""
-    n = problem.n
-    m_eq = problem.a_eq.shape[0]
-    m_le = problem.a_le.shape[0]
-    m = m_eq + m_le
-
-    a = np.vstack([problem.a_eq, problem.a_le])
-    b = np.concatenate([problem.b_eq, problem.b_le])
-
-    lo = np.concatenate([problem.lo, np.zeros(m_le), np.zeros(m)])
-    hi = np.concatenate([problem.hi, np.full(m_le, np.inf), np.full(m, np.inf)])
-    lo[lo <= -INF_BOUND] = -np.inf
-    hi[hi >= INF_BOUND] = np.inf
-
-    t = _Tableau(a=a, b=b, m_eq=m_eq, lo=lo, hi=hi, art_sign=np.ones(m))
-    ns, nk = n, m_le
-    ncols = t.n_cols
-
-    warm = (start is not None and start.basis.size == m
-            and start.col_status.size == ncols and _install_warm_start(t, start))
-    if warm:
-        t.hi[ns + nk:] = 0.0  # artificials stay fixed at zero
-    else:
-        # Nonbasic start: nearest finite bound, free variables at zero.
-        t.status = np.where(
-            np.isfinite(lo), _AT_LO, np.where(np.isfinite(hi), _AT_HI, _FREE)
-        ).astype(np.int8)
-        t.status[ns + nk:] = _AT_LO
-        t.xval = np.where(t.status == _AT_LO, lo,
-                          np.where(t.status == _AT_HI, hi, 0.0))
-        t.xval[~np.isfinite(t.xval)] = 0.0
-        # Crash basis: slack basic on every inequality row whose slack start
-        # is feasible, artificial elsewhere. Cuts phase-1 work to the
-        # infeasible rows.
-        t.basis = np.arange(ns + nk, ncols)
-        r = t.nonbasic_rhs()
-        for i in range(m):
-            if i >= m_eq and r[i] >= 0:
-                t.basis[i] = ns + (i - m_eq)
-            else:
-                t.art_sign[i] = 1.0 if r[i] >= 0 else -1.0
-        t.binv = np.diag(np.where(t.basis >= ns + nk, t.art_sign, 1.0))
-        t.xb = np.abs(r)
-        t.status[t.basis] = _BASIC
-        t.xval[t.basis] = t.xb
+    t = _Tableau(problem)
+    n, m, ne = problem.n, t.m, t.n_enter
+    warm = start is not None and t.warm_start(start)
+    if not warm:
+        t.cold_start()
 
     if max_iter is None:
-        max_iter = 200 * (m + ns) + 2000
-    bland_after = 2 * (m + ns)
+        max_iter = 200 * (m + n) + 2000
+    bland_after = 2 * (m + n)
 
-    c_phase1 = np.zeros(ncols)
-    c_phase1[ns + nk:] = 1.0
-    c_phase2 = np.zeros(ncols)
-    c_phase2[:ns] = problem.c
+    c_phase1 = np.zeros(t.n_cols)
+    c_phase1[ne:] = 1.0
+    c_phase2 = np.zeros(t.n_cols)
+    c_phase2[:n] = problem.c
 
     iters = 0
-    movable = hi[:ns + nk] > lo[:ns + nk]  # fixed columns never enter
+    movable = t.hi[:ne] > t.lo[:ne]  # fixed columns never enter
     c_scale = 1.0 + float(np.max(np.abs(problem.c))) if n else 1.0
-    b_scale = 1.0 + (float(np.max(np.abs(b))) if m else 0.0)
+    b_scale = 1.0 + (float(np.max(np.abs(t.b))) if m else 0.0)
 
-    def price(cvec):
-        y = cvec[t.basis] @ t.binv
-        d = np.empty(ns + nk)
-        d[:ns] = cvec[:ns] - y @ t.a
-        d[ns:] = cvec[ns:ns + nk] - y[m_eq:]
-        return y, d
-
-    def run_phase(cvec, phase: int):
+    def run_phase(cvec, phase: int) -> LpStatus:
         nonlocal iters
         dtol = OPT_TOL * (c_scale if phase == 2 else b_scale)
         t.since_refactor = 0
         while True:
             if iters >= max_iter:
-                return "iteration_limit"
-            y, d = price(cvec)
-            sl = t.status[:ns + nk]
+                return LpStatus.ITERATION_LIMIT
+            _, d = t.price(cvec)
+            sl = t.status[:ne]
             eligible = (
                 ((sl == _AT_LO) & (d < -dtol) & movable)
                 | ((sl == _AT_HI) & (d > dtol) & movable)
@@ -329,7 +313,7 @@ def solve_lp(
             )
             idx = np.nonzero(eligible)[0]
             if idx.size == 0:
-                return "optimal"
+                return LpStatus.OPTIMAL
             if iters > bland_after:
                 j = int(idx[0])
             else:
@@ -338,7 +322,7 @@ def solve_lp(
 
             sj = t.status[j]
             direction = 1.0 if (sj == _AT_LO or (sj == _FREE and d[j] < 0)) else -1.0
-            w = t.binv @ t.col(j)
+            w = t.ftran(j)
 
             # Ratio test: basic variables hitting their bounds, plus a
             # possible bound flip of the entering variable itself.
@@ -389,7 +373,7 @@ def solve_lp(
                 continue
 
             if min(step, flip) == np.inf:
-                return "unbounded"
+                return LpStatus.UNBOUNDED
 
             if flip < step - 1e-15 or leave < 0:
                 # Bound flip: entering variable moves to its other bound.
@@ -404,16 +388,7 @@ def solve_lp(
             t.pivot(leave, j, w, direction * step,
                     _AT_LO if dw[leave] > 0 else _AT_HI)
 
-    def assemble(st: LpStatus) -> LpSolution:
-        y, d = price(c_phase2)
-        x = t.xval[:n].copy()
-        obj = float(problem.c @ x)
-        finite = np.isfinite(t.xval[:ns + nk]) & (t.status[:ns + nk] != _BASIC)
-        dual_obj = float(y @ b + d[finite] @ t.xval[:ns + nk][finite])
-        return LpSolution(st, x, y.copy(), obj, iters, dual_obj,
-                          basis=t.basis.copy(), col_status=t.status.copy())
-
-    def dual_phase():
+    def dual_phase() -> LpStatus:
         """Bounded dual simplex from a dual feasible basis, until the basis
         is primal feasible. The leaving row has the largest bound
         violation; a row that no nonbasic column can move toward its bound
@@ -424,20 +399,18 @@ def solve_lp(
             viol = np.maximum(below, t.xb - t.hi[t.basis])
             bad = np.nonzero(viol > FEAS_TOL * b_scale)[0]
             if bad.size == 0:
-                return "optimal"
+                return LpStatus.OPTIMAL
             if iters >= max_iter:
-                return "iteration_limit"
+                return LpStatus.ITERATION_LIMIT
             bland = iters > bland_after
             r = int(bad[np.argmin(t.basis[bad])] if bland
                     else bad[np.argmax(viol[bad])])
             rises = below[r] > 0  # x_r must rise to its lower bound
-            # Row r of B^-1 [A | I]: x_r falls by alpha_j per unit rise of
-            # nonbasic column j, so g_j is its move toward the bound.
-            alpha = np.empty(ns + nk)
-            alpha[:ns] = t.binv[r] @ t.a
-            alpha[ns:] = t.binv[r, m_eq:]
+            # x_r falls by alpha_j per unit rise of nonbasic column j, so
+            # g_j is its move toward the bound.
+            alpha = t.tableau_row(r)
             g = -alpha if rises else alpha
-            sl = t.status[:ns + nk]
+            sl = t.status[:ne]
             eligible = movable & (
                 ((sl == _AT_LO) & (g > PIVOT_TOL))
                 | ((sl == _AT_HI) & (g < -PIVOT_TOL))
@@ -446,63 +419,44 @@ def solve_lp(
             idx = np.nonzero(eligible)[0]
             if idx.size == 0:
                 if t.since_refactor == 0:
-                    return "infeasible"
+                    return LpStatus.INFEASIBLE
                 t.refactor()  # confirm the certificate on a fresh inverse
                 continue
             # Dual ratio test: the column whose reduced cost reaches zero
             # first; ties go to the largest pivot.
-            _, d = price(c_phase2)
+            _, d = t.price(c_phase2)
             ratio = np.abs(d[idx] / alpha[idx])
             ties = idx[ratio <= ratio.min() * (1 + 1e-9) + 1e-12]
             q = int(ties[0] if bland else ties[np.argmax(np.abs(alpha[ties]))])
             iters += 1
 
-            w = t.binv @ t.col(q)
+            w = t.ftran(q)
             target = t.lo[t.basis[r]] if rises else t.hi[t.basis[r]]
             t.pivot(r, q, w, (t.xb[r] - target) / w[r],
                     _AT_LO if rises else _AT_HI)
 
+    # Artificials stay fixed at zero once phase 1 is over; one still basic
+    # is pinned there by these bounds.
     if warm:
-        out = dual_phase()
+        t.hi[ne:] = 0.0
+        status = dual_phase()
     else:
-        out = run_phase(c_phase1, 1)
-        if (out != "iteration_limit"
-                and float(c_phase1[t.basis] @ t.xb) > FEAS_TOL * b_scale):
-            out = "infeasible"
-    if out == "iteration_limit":
-        return assemble(LpStatus.ITERATION_LIMIT)
-    if out == "infeasible":
-        return assemble(LpStatus.INFEASIBLE)
+        status = run_phase(c_phase1, 1)
+        if status is not LpStatus.ITERATION_LIMIT:
+            left = float(c_phase1[t.basis] @ t.xb)  # artificial total
+            status = (LpStatus.INFEASIBLE if left > FEAS_TOL * b_scale
+                      else LpStatus.OPTIMAL)
+        t.hi[ne:] = 0.0
+    if status is LpStatus.OPTIMAL:
+        status = run_phase(c_phase2, 2)
 
-    if not warm:
-        # Drive remaining artificials out of the basis (the refactorization
-        # rebuilds the inverse and the basic values); redundant rows keep a
-        # fixed artificial pinned at zero.
-        art_start = ns + nk
-        for r_i in range(m):
-            if t.basis[r_i] < art_start:
-                continue
-            for j in range(ns + nk):
-                if t.status[j] == _BASIC:
-                    continue
-                if abs(t.binv[r_i] @ t.col(j)) > 1e-7:
-                    old = t.basis[r_i]
-                    t.basis[r_i] = j
-                    t.status[old] = _AT_LO
-                    t.xval[old] = 0.0
-                    t.status[j] = _BASIC
-                    t.refactor()
-                    break
-        t.hi[art_start:] = 0.0
-
-    out = run_phase(c_phase2, 2)
-    if out == "iteration_limit":
-        return assemble(LpStatus.ITERATION_LIMIT)
-    if out == "unbounded":
-        sol = assemble(LpStatus.UNBOUNDED)
-        sol.objective = -np.inf
-        return sol
-    return assemble(LpStatus.OPTIMAL)
+    y, d = t.price(c_phase2)
+    x = t.xval[:n].copy()
+    obj = -np.inf if status is LpStatus.UNBOUNDED else float(problem.c @ x)
+    finite = np.isfinite(t.xval[:ne]) & (t.status[:ne] != _BASIC)
+    dual_obj = float(y @ t.b + d[finite] @ t.xval[:ne][finite])
+    return LpSolution(status, x, obj, iters, dual_obj,
+                      basis=t.basis.copy(), col_status=t.status.copy())
 
 
 def remap_start(sol: LpSolution, n: int, m_eq: int, m_le: int) -> LpStart | None:
@@ -578,5 +532,5 @@ def brute_force_lp(problem: LpProblem) -> LpSolution:
             if obj < best_obj - 0.0:
                 best_obj, best_x = obj, x
     if best_x is None:
-        return LpSolution(LpStatus.INFEASIBLE, np.zeros(n), np.zeros(0), np.inf, 0)
-    return LpSolution(LpStatus.OPTIMAL, best_x, np.zeros(0), best_obj, 0, best_obj)
+        return LpSolution(LpStatus.INFEASIBLE, np.zeros(n), np.inf, 0)
+    return LpSolution(LpStatus.OPTIMAL, best_x, best_obj, 0, best_obj)

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, FeatureMismatch, SingleClassData
+from .errors import (DimensionMismatch, FeatureMismatch, ParseError,
+                     SingleClassData)
 
 C_NEGATIVE_GRID = (1.0, 5.0, 10.0, 50.0, 100.0)
 CV_FOLDS = 5
@@ -352,41 +353,47 @@ def model_to_text(
 
 
 def model_from_text(text: str) -> tuple[Hyperplane, Standardizer, int, float]:
-    kv: dict[str, str] = {}
-    for line in text.splitlines():
+    kv: dict[str, tuple[int, str]] = {}  # key -> (1-based line, value)
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, _, val = line.partition("=")
-        kv[key.strip()] = val.strip()
+        kv[key.strip()] = (lineno, val.strip())
     required = ("feature_names", "w_scaled", "b_scaled", "w_physical",
                 "b_physical", "standardizer_mean", "standardizer_std")
     for key in required:
         if key not in kv:
             raise FeatureMismatch(f"model file missing field '{key}'")
 
-    def _floats(key):
-        raw = kv[key]
+    def _get(key, conv, default=""):
+        lineno, raw = kv.get(key, (0, default))
+        try:
+            return conv(raw)
+        except ValueError:
+            raise ParseError(lineno, f"bad value for {key}: {raw!r}") from None
+
+    def _floats(raw):
         return np.array([float(v) for v in raw.split(",") if v])
 
     h = Hyperplane(
-        weights_scaled=_floats("w_scaled"),
-        bias_scaled=float(kv["b_scaled"]),
-        weights_physical=_floats("w_physical"),
-        bias_physical=float(kv["b_physical"]),
-        feature_names=tuple(n for n in kv["feature_names"].split(",") if n),
+        weights_scaled=_get("w_scaled", _floats),
+        bias_scaled=_get("b_scaled", float),
+        weights_physical=_get("w_physical", _floats),
+        bias_physical=_get("b_physical", float),
+        feature_names=tuple(n for n in kv["feature_names"][1].split(",") if n),
     )
-    n_features = int(kv.get("standardizer_n_features",
-                            str(h.weights_physical.size)))
-    kept_raw = kv.get("standardizer_kept", "")
-    kept = (np.array([int(v) for v in kept_raw.split(",") if v], dtype=int)
-            if kept_raw else np.arange(n_features))
-    s = Standardizer(mean=_floats("standardizer_mean"),
-                     std=_floats("standardizer_std"),
+    n_features = _get("standardizer_n_features", int,
+                      str(h.weights_physical.size))
+    kept = _get("standardizer_kept", lambda raw: (
+        np.array([int(v) for v in raw.split(",") if v], dtype=int)
+        if raw else np.arange(n_features)))
+    s = Standardizer(mean=_get("standardizer_mean", _floats),
+                     std=_get("standardizer_std", _floats),
                      kept=kept, n_features=n_features)
     if h.weights_physical.size != n_features:
         raise FeatureMismatch(
             f"physical weights have {h.weights_physical.size} entries, "
             f"standardizer covers {n_features} features"
         )
-    return h, s, int(kv.get("train_seed", 0)), float(kv.get("margin", "nan"))
+    return h, s, _get("train_seed", int, "0"), _get("margin", float, "nan")

@@ -157,6 +157,39 @@ def test_malformed_config_value_exit_2(tmp_path):
     assert exc.value.code == cli.EXIT_INPUT
 
 
+def test_config_value_outside_choices_exit_2(tmp_path):
+    cfg = tmp_path / "ucsm.cfg"
+    cfg.write_text("mode = bogus\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(cfg), "solve", "--case", "sixbus"])
+    assert exc.value.code == cli.EXIT_INPUT
+
+
+def test_solve_malformed_model_number_exit_2(model_file, tmp_path, capsys):
+    lines = model_file.read_text().splitlines()
+    row = next(i for i, ln in enumerate(lines) if ln.startswith("b_scaled="))
+    lines[row] = "b_scaled=abc"
+    bad = tmp_path / "bad.model"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = cli.main(["solve", "--case", "sixbus", "--mode", "surrogate",
+                   "--model", str(bad), "--scenarios", "2", "--horizon", "3"])
+    assert rc == cli.EXIT_INPUT
+    assert f"line {row + 1}:" in capsys.readouterr().err
+
+
+def test_train_malformed_feature_exit_2(data_file, tmp_path, capsys):
+    lines = data_file.read_text().splitlines()
+    # The first row after the header holds the first sample.
+    row = next(i for i, ln in enumerate(lines) if not ln.startswith("#")) + 1
+    lines[row] = "xyz" + lines[row][lines[row].index(","):]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = cli.main(["train", "--data", str(bad),
+                   "--out", str(tmp_path / "m.model")])
+    assert rc == cli.EXIT_INPUT
+    assert f"line {row + 1}:" in capsys.readouterr().err
+
+
 def test_missing_config_exit_2(tmp_path):
     rc = cli.main(["--config", str(tmp_path / "absent.cfg"),
                    "solve", "--case", "sixbus"])

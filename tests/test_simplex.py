@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ucsm.errors import DimensionMismatch
-from ucsm.simplex import (INF_BOUND, LpProblem, LpStart, LpStatus,
+from ucsm.simplex import (INF_BOUND, LpProblem, LpStart, LpStatus, _Tableau,
                           brute_force_lp, remap_start, solve_lp)
 
 
@@ -241,3 +241,62 @@ def test_unusable_start_falls_back_to_cold():
         assert warm.status is cold.status
         assert warm.objective == cold.objective
         assert warm.iterations == cold.iterations
+
+
+@pytest.mark.parametrize("c", [(1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)])
+def test_artificial_left_basic_after_phase_one(c):
+    """On -x1 - x2 = 0 phase 1 ends at once with the row's artificial basic
+    at zero, though the row is not redundant. Pinned at zero by its bounds,
+    it leaves the basis in phase 2 or stays to the end (c = (1, 1)), and a
+    child with an appended row warm-starts from either basis."""
+    lo, hi = np.zeros(2), np.full(2, 5.0)
+    prob = LpProblem(c=c, a_eq=[[-1.0, -1.0]], b_eq=[0.0],
+                     a_le=np.zeros((0, 2)), b_le=[], lo=lo, hi=hi)
+    sol = solve_lp(prob)
+    assert sol.status is LpStatus.OPTIMAL
+    np.testing.assert_array_equal(sol.x, [0.0, 0.0])
+    assert sol.objective == 0.0
+    child = LpProblem(c=c, a_eq=prob.a_eq, b_eq=prob.b_eq,
+                      a_le=[[1.0, 0.0]], b_le=[1.0], lo=lo, hi=hi)
+    warm = solve_lp(child, start=remap_start(sol, 2, 1, 1))
+    cold = solve_lp(child)
+    assert warm.status is cold.status
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+
+
+def test_warm_start_without_rows():
+    """A problem with no rows at all takes the empty basis as a start."""
+    prob = LpProblem(c=[1.0, -1.0], a_eq=np.zeros((0, 2)), b_eq=[],
+                     a_le=np.zeros((0, 2)), b_le=[],
+                     lo=np.zeros(2), hi=np.full(2, 3.0))
+    start = LpStart(basis=np.zeros(0, dtype=int),
+                    col_status=np.zeros(2, dtype=np.int8))
+    sol = solve_lp(prob, start=start)
+    assert sol.status is LpStatus.OPTIMAL
+    np.testing.assert_array_equal(sol.x, [0.0, 3.0])
+
+
+def test_crash_basis_matches_row_rule(rng):
+    """The crash basis, built with array code, follows the per-row rule:
+    the slack on an inequality row whose slack start is feasible, else the
+    row's artificial, signed to start at |r_i| >= 0."""
+    for _ in range(100):
+        n, m_eq, m_le = 4, int(rng.integers(0, 3)), int(rng.integers(0, 4))
+        lo = np.where(rng.random(n) < 0.3, -INF_BOUND, rng.normal(size=n))
+        hi = np.where(rng.random(n) < 0.3, INF_BOUND, np.abs(lo) + 1.0)
+        prob = LpProblem(c=rng.normal(size=n), a_eq=rng.normal(size=(m_eq, n)),
+                         b_eq=rng.normal(size=m_eq),
+                         a_le=rng.normal(size=(m_le, n)),
+                         b_le=rng.normal(size=m_le), lo=lo, hi=hi)
+        t = _Tableau(prob)
+        t.cold_start()
+        x0 = np.where(lo > -INF_BOUND, lo, np.where(hi < INF_BOUND, hi, 0.0))
+        r = np.concatenate([prob.b_eq, prob.b_le]) - np.vstack(
+            [prob.a_eq, prob.a_le]) @ x0
+        for i in range(m_eq + m_le):
+            if i >= m_eq and r[i] >= 0:
+                assert t.basis[i] == n + i - m_eq
+            else:
+                assert t.basis[i] == n + m_le + i
+                assert t.unit_sign[m_le + i] == (1.0 if r[i] >= 0 else -1.0)
+        np.testing.assert_array_equal(t.xb, np.abs(r))
