@@ -112,6 +112,8 @@ class SystemCase:
                 raise ValidationError(
                     f"line {ln.from_bus}-{ln.to_bus} references unknown bus"
                 )
+        if not self.generators:
+            raise ValidationError("case has no generators")
         for g in self.generators:
             if g.bus not in idset:
                 raise ValidationError(f"generator references unknown bus {g.bus}")

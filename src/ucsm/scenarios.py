@@ -258,12 +258,14 @@ def dataset_from_csv(text: str) -> Dataset:
                 f"row has {len(parts)} columns, header has {len(header)}"
             )
         try:
-            samples.append(LabeledSample(
-                features=np.array([float(v) for v in parts[:-1]]),
-                label=int(float(parts[-1])),
-            ))
-        except (ValueError, OverflowError):
+            features = np.array([float(v) for v in parts[:-1]])
+            label = float(parts[-1])
+        except ValueError:
             raise ParseError(lineno, f"non-numeric field in {line!r}") from None
+        if label not in (1.0, -1.0):
+            raise ParseError(lineno, "label must be +1 or -1, got "
+                                     f"{parts[-1].strip()!r}")
+        samples.append(LabeledSample(features=features, label=int(label)))
     if header is None:
         raise DimensionMismatch("dataset file has no header row")
 

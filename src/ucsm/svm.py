@@ -112,8 +112,6 @@ class Hyperplane:
 
 @dataclass
 class TrainReport:
-    alpha: np.ndarray
-    dual_objective: float
     dual_trace: list[float]
     passes: int
     converged: bool
@@ -184,8 +182,6 @@ def train_svm(
         feature_names=names,
     )
     report = TrainReport(
-        alpha=alpha,
-        dual_objective=trace[-1],
         dual_trace=trace,
         passes=passes,
         converged=converged,

@@ -132,6 +132,10 @@ def schedule_is_logical(case: SystemCase, u: np.ndarray, u0: np.ndarray) -> bool
 class _Milp:
     """Compact TSUC MILP: columns [u, y, z, delta], rows built on demand.
 
+    The index arrays u_idx (G, T) and d_idx (G, S, T, K) are the column
+    layout: u is hour-major so branching ties prefer earlier hours, y and z
+    sit at n_u + u_idx and 2*n_u + u_idx, and delta follows them.
+
     Eager rows: transition logic, min-up/min-down, per-(s,t) system balance,
     and the capacity link sum(delta) <= (pmax - pmin) u. Lazy families (the
     exact capacity link per (g, s, t) and the dispatch table's ramp,
@@ -157,14 +161,13 @@ class _Milp:
         self.curves: list[PwlCost] = [
             pwl_cost(g, inst.pwl_segments) for g in case.generators
         ]
-        self.K = inst.pwl_segments
+        K = self.K = inst.pwl_segments
 
-        # Column layout.
         self.n_u = G * T
-        self.off_y = self.n_u
-        self.off_z = 2 * self.n_u
-        self.off_d = 3 * self.n_u
-        self.ncols = self.off_d + G * S * T * self.K
+        self.u_idx = np.arange(self.n_u).reshape(T, G).T
+        self.d_idx = 3 * self.n_u + np.arange(S * T * G * K).reshape(
+            S, T, G, K).transpose(2, 0, 1, 3)
+        self.ncols = 3 * self.n_u + self.d_idx.size
 
         self.pmin = np.array([g.p_min for g in case.generators])
         self.pmax = np.array([g.p_max for g in case.generators])
@@ -186,8 +189,20 @@ class _Milp:
                 self.wind_bus[si, case.bus_index(w.bus)] += s.wind_mw[wi]
         self.gen_bus = np.array([case.bus_index(g.bus) for g in case.generators])
 
-        self._build_objective()
-        self._build_bounds()
+        # Objective: no-load cost on u (sum(pi) = 1), start-up on y,
+        # shut-down on z, expected segment cost on delta; delta <= width.
+        gens = case.generators
+        pi = np.array([s.probability for s in inst.scenarios])
+        self.c = np.zeros(self.ncols)
+        self.c[self.u_idx] = [[g.c0 + cv.base_value]
+                              for g, cv in zip(gens, self.curves)]
+        self.c[self.n_u + self.u_idx] = [[g.startup_cost] for g in gens]
+        self.c[2 * self.n_u + self.u_idx] = [[g.shutdown_cost] for g in gens]
+        self.c[self.d_idx] = pi[:, None, None] * self.slopes[:, None, None, :]
+        self.lo = np.zeros(self.ncols)
+        self.hi = np.ones(self.ncols)
+        self.hi[self.d_idx] = self.widths[:, None, None, :]
+
         self._build_eager_rows()
         self._build_dispatch_rows()
 
@@ -195,122 +210,63 @@ class _Milp:
         self.cap_on = np.zeros((G, S, T), dtype=bool)
         self.row_on = np.zeros((S, self.row_tol.size), dtype=bool)
 
-    # -- column helpers ----------------------------------------------------
-
-    def u_col(self, g: int, t: int) -> int:
-        return t * self.G + g  # hour-major so ties prefer earlier hours
-
-    def d_cols(self, g: int, s: int, t: int) -> slice:
-        base = self.off_d + ((s * self.T + t) * self.G + g) * self.K
-        return slice(base, base + self.K)
-
-    def _build_objective(self):
-        inst, case = self.inst, self.inst.case
-        c = np.zeros(self.ncols)
-        pi = np.array([s.probability for s in inst.scenarios])
-        for g in range(self.G):
-            gen = case.generators[g]
-            fixed = gen.c0 + self.curves[g].base_value
-            for t in range(self.T):
-                c[self.u_col(g, t)] = fixed  # sum(pi) = 1
-                c[self.off_y + self.u_col(g, t)] = gen.startup_cost
-                c[self.off_z + self.u_col(g, t)] = gen.shutdown_cost
-            for s in range(self.S):
-                for t in range(self.T):
-                    c[self.d_cols(g, s, t)] = pi[s] * self.curves[g].slopes
-        self.c = c
-
-    def _build_bounds(self):
-        lo = np.zeros(self.ncols)
-        hi = np.ones(self.ncols)
-        for g in range(self.G):
-            for s in range(self.S):
-                for t in range(self.T):
-                    hi[self.d_cols(g, s, t)] = self.widths[g]
-        self.lo, self.hi = lo, hi
-
-    def _p_row(self, coef: np.ndarray, s: int) -> np.ndarray:
-        """Full-width row of coef @ p_s via p = pmin*u + sum(delta)."""
-        row = np.zeros(self.ncols)
-        row[:self.n_u] = coef * self.pmin_tg
-        base = self.off_d + s * self.n_u * self.K
-        row[base:base + self.n_u * self.K] = np.repeat(coef, self.K)
-        return row
+    def _p_rows(self, coef: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """Full-width rows coef[r] @ p_{s[r]} over (G, T) dispatch
+        coefficients coef (R, G, T), via p = pmin*u + sum(delta)."""
+        r = np.arange(s.size)[:, None, None]
+        rows = np.zeros((s.size, self.ncols))
+        rows[r, self.u_idx] = coef * self.pmin[:, None]
+        d = self.d_idx[:, s].transpose(1, 0, 2, 3)  # (R, G, T, K)
+        rows[r[..., None], d] = coef[..., None]
+        return rows
 
     def _build_eager_rows(self):
         inst, case = self.inst, self.inst.case
-        G, S, T, K = self.G, self.S, self.T, self.K
-        u0 = inst.initial_status
-        a_le, b_le = [], []
+        G, S, T, n_u, u = self.G, self.S, self.T, self.n_u, self.u_idx
+        # Min-up window y_t - u_tau <= 0 (j = 0) and min-down window
+        # z_t + u_tau <= 1 (j = 1) per (g, t, tau), cut at the horizon.
+        win = np.array([(g, t, tau, j)
+                        for g, gen in enumerate(case.generators)
+                        for t in range(T)
+                        for j, span in enumerate((gen.min_up, gen.min_down))
+                        for tau in range(t, min(t + span, T))]).T
+        n_tr = 2 * n_u
+        n_win = win.shape[1]
+        self.a_le = np.zeros((n_tr + n_win + n_u, self.ncols))
+        self.b_le = np.zeros(n_tr + n_win + n_u)
 
-        # Transition logic: u_t - u_{t-1} - y_t <= 0 and u_{t-1} - u_t - z_t <= 0.
-        for g in range(G):
-            for t in range(T):
-                row = np.zeros(self.ncols)
-                row[self.u_col(g, t)] = 1.0
-                row[self.off_y + self.u_col(g, t)] = -1.0
-                rhs = 0.0
-                if t == 0:
-                    rhs = float(u0[g])
-                else:
-                    row[self.u_col(g, t - 1)] = -1.0
-                a_le.append(row)
-                b_le.append(rhs)
+        # Transition pair per (g, t): u_t - u_{t-1} - y_t <= 0 and
+        # u_{t-1} - u_t - z_t <= 0, with u_{-1} = u0 moved to the right.
+        sign = np.array([1.0, -1.0])
+        tr = self.a_le[:n_tr].reshape(G, T, 2, self.ncols)
+        g, t, j = np.indices((G, T, 2))
+        tr[g, t, j, u[..., None]] = sign
+        tr[g, t, j, (1 + j) * n_u + u[..., None]] = -1.0
+        tr[g[:, 1:], t[:, 1:], j[:, 1:], u[:, :-1, None]] = -sign
+        u0 = np.asarray(inst.initial_status, dtype=float)
+        self.b_le[:n_tr].reshape(G, T, 2)[:, 0] = u0[:, None] * sign
 
-                row = np.zeros(self.ncols)
-                row[self.u_col(g, t)] = -1.0
-                row[self.off_z + self.u_col(g, t)] = -1.0
-                rhs = 0.0
-                if t == 0:
-                    rhs = -float(u0[g])
-                else:
-                    row[self.u_col(g, t - 1)] = 1.0
-                a_le.append(row)
-                b_le.append(rhs)
-
-        # Min-up: y_t - u_tau <= 0; min-down: z_t + u_tau <= 1.
-        for g in range(G):
-            gen = case.generators[g]
-            for t in range(T):
-                for tau in range(t, min(t + gen.min_up, T)):
-                    row = np.zeros(self.ncols)
-                    row[self.off_y + self.u_col(g, t)] = 1.0
-                    row[self.u_col(g, tau)] -= 1.0
-                    a_le.append(row)
-                    b_le.append(0.0)
-                for tau in range(t, min(t + gen.min_down, T)):
-                    row = np.zeros(self.ncols)
-                    row[self.off_z + self.u_col(g, t)] = 1.0
-                    row[self.u_col(g, tau)] += 1.0
-                    a_le.append(row)
-                    b_le.append(1.0)
+        g, t, tau, j = win
+        r = n_tr + np.arange(n_win)
+        self.a_le[r, (1 + j) * n_u + u[g, t]] = 1.0
+        self.a_le[r, u[g, tau]] = 2 * j - 1
+        self.b_le[r] = j
 
         # Aggregated capacity link per (g, t): the scenario sum of the exact
         # rows sum_k delta <= (pmax - pmin) u. The individual rows live in
         # the lazy pool; scenarios are statistically alike, so few of them
         # ever activate while the eager system stays S times smaller.
-        for g in range(G):
-            for t in range(T):
-                row = np.zeros(self.ncols)
-                for s in range(S):
-                    row[self.d_cols(g, s, t)] = 1.0
-                row[self.u_col(g, t)] = -S * (self.pmax[g] - self.pmin[g])
-                a_le.append(row)
-                b_le.append(0.0)
+        agg = self.a_le[n_tr + n_win:].reshape(G, T, self.ncols)
+        g, t = np.indices((G, T))
+        agg[g[..., None], t[..., None],
+            self.d_idx.transpose(0, 2, 1, 3).reshape(G, T, -1)] = 1.0
+        agg[g, t, u] = -S * (self.pmax - self.pmin)[:, None]
 
         # System balance per (s, t): sum_g p = load_total - wind_total.
-        a_eq, b_eq = [], []
-        for s in range(S):
-            for t in range(T):
-                hour = np.zeros(self.n_u)
-                hour[t * G:(t + 1) * G] = 1.0
-                a_eq.append(self._p_row(hour, s))
-                b_eq.append(self.load_total[s, t] - self.wind_total[s, t])
-
-        self.a_le = np.array(a_le)
-        self.b_le = np.array(b_le)
-        self.a_eq = np.array(a_eq)
-        self.b_eq = np.array(b_eq)
+        hour = np.broadcast_to(np.eye(T)[:, None, :], (S, T, G, T))
+        self.a_eq = self._p_rows(hour.reshape(-1, G, T),
+                                 np.repeat(np.arange(S), T))
+        self.b_eq = (self.load_total - self.wind_total).ravel()
 
     def _build_dispatch_rows(self):
         """One table of the per-scenario dispatch rows, shared by lazy
@@ -373,45 +329,40 @@ class _Milp:
 
     # -- lazy families -----------------------------------------------------
 
-    def _p(self, x: np.ndarray) -> np.ndarray:
-        """(S, T*G) hour-major dispatch implied by a column vector."""
-        d = x[self.off_d:].reshape(self.S, self.n_u, self.K).sum(axis=2)
-        return self.pmin_tg * x[:self.n_u] + d
-
     def dispatch_of(self, x: np.ndarray) -> np.ndarray:
         """(G, S, T) dispatch implied by a column vector."""
-        return self._p(x).reshape(self.S, self.T, self.G).transpose(2, 0, 1)
+        return (self.pmin[:, None, None] * x[self.u_idx][:, None, :]
+                + x[self.d_idx].sum(axis=3))
 
     def add_violated_rows(self, x: np.ndarray) -> int:
         """Pool every violated lazy row not pooled yet; returns how many."""
-        p = self._p(x)
-        new_a, new_b = [], []
+        pg = self.dispatch_of(x)
+        u = x[self.u_idx][:, None, :]
 
         # Exact capacity link: sum_k delta <= (pmax - pmin) u per (g, s, t).
-        pg = p.reshape(self.S, self.T, self.G).transpose(2, 0, 1)
-        u = x[:self.n_u].reshape(self.T, self.G).T
-        excess = (pg - self.pmin[:, None, None] * u[:, None, :]
-                  - (self.pmax - self.pmin)[:, None, None] * u[:, None, :])
+        excess = (pg - self.pmin[:, None, None] * u
+                  - (self.pmax - self.pmin)[:, None, None] * u)
         cap = (excess > FLOW_TOL_MW) & ~self.cap_on
-        for g, s, t in zip(*np.nonzero(cap)):
-            row = np.zeros(self.ncols)
-            row[self.d_cols(g, s, t)] = 1.0
-            row[self.u_col(g, t)] = -(self.pmax[g] - self.pmin[g])
-            new_a.append(row)
-            new_b.append(0.0)
+        g, s, t = np.nonzero(cap)
+        cap_a = np.zeros((g.size, self.ncols))
+        i = np.arange(g.size)
+        cap_a[i[:, None], self.d_idx[g, s, t]] = 1.0
+        cap_a[i, self.u_idx[g, t]] = -(self.pmax - self.pmin)[g]
 
         # Dispatch-table rows, pooled in (scenario, row) order: the pool's
         # row order steers the simplex's tie-breaking.
+        p = pg.transpose(1, 2, 0).reshape(self.S, -1)  # the table's order
         hit = (p @ self.row_coef.T - self.row_rhs > self.row_tol) & ~self.row_on
-        for s, r in zip(*np.nonzero(hit)):
-            new_a.append(self._p_row(self.row_coef[r], s))
-            new_b.append(self.row_rhs[s, r])
-        if new_a:
-            self.a_le = np.vstack([self.a_le, new_a])
-            self.b_le = np.concatenate([self.b_le, new_b])
+        s, r = np.nonzero(hit)
+        coef = self.row_coef[r].reshape(-1, self.T, self.G).transpose(0, 2, 1)
+        n_new = g.size + r.size
+        if n_new:
+            self.a_le = np.vstack([self.a_le, cap_a, self._p_rows(coef, s)])
+            self.b_le = np.concatenate([self.b_le, np.zeros(g.size),
+                                        self.row_rhs[s, r]])
         self.cap_on |= cap
         self.row_on |= hit
-        return len(new_b)
+        return n_new
 
     def lp_problem(self, fix: tuple) -> LpProblem:
         """Node LP: eager rows plus the activated lazy rows, which are only
@@ -518,7 +469,7 @@ def _heuristic_incumbent(
     """
     inst, case = milp.inst, milp.inst.case
     G, T = milp.G, milp.T
-    u_frac = x[:milp.n_u].reshape(T, G).T
+    u_frac = x[milp.u_idx]
     need = (milp.load_total - milp.wind_total).max(axis=0)  # (T,)
 
     def candidate(threshold: float) -> np.ndarray:
@@ -555,18 +506,13 @@ def _price_schedule(
     milp: _Milp, u: np.ndarray, stats: SolveStats,
 ) -> tuple[float, np.ndarray, np.ndarray] | None:
     """Exact cost of a binary schedule, or None if it cannot be dispatched."""
-    inst, case = milp.inst, milp.inst.case
-    G, T = milp.G, milp.T
-    if not schedule_is_logical(case, u, inst.initial_status):
+    inst, c, n_u, u_idx = milp.inst, milp.c, milp.n_u, milp.u_idx
+    if not schedule_is_logical(inst.case, u, inst.initial_status):
         return None
     y, z = minimal_transitions(u, inst.initial_status)
-    cost = float(sum(
-        y[g, t] * case.generators[g].startup_cost
-        + z[g, t] * case.generators[g].shutdown_cost
-        + u[g, t] * (case.generators[g].c0 + milp.curves[g].base_value)
-        for g in range(G) for t in range(T)
-    ))
-    p_all = np.zeros((G, milp.S, T))
+    first = y * c[n_u + u_idx] + z * c[2 * n_u + u_idx] + u * c[u_idx]
+    cost = float(sum(first.ravel()))  # term by term, g-major
+    p_all = np.zeros((milp.G, milp.S, milp.T))
     for s in range(milp.S):
         stats.lp_solves += 1
         feasible, c_s, p = _dispatch_lp(milp, u, s)
@@ -612,7 +558,7 @@ def solve_tsuc(
         uvals = sol.x[:milp.n_u]
         if np.abs(uvals - np.rint(uvals)).max() <= INTEGRALITY_TOL:
             if sol.objective < best[0]:
-                u = np.rint(uvals.reshape(milp.T, milp.G).T).astype(int)
+                u = np.rint(sol.x[milp.u_idx]).astype(int)
                 best = (sol.objective, u, milp.dispatch_of(sol.x))
         elif sol.objective < cutoff():
             heapq.heappush(heap, (sol.objective, next(counter), fix, sol))

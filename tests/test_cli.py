@@ -190,6 +190,34 @@ def test_train_malformed_feature_exit_2(data_file, tmp_path, capsys):
     assert f"line {row + 1}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("label", ["+2", "0"])
+def test_train_label_outside_pm1_exit_2(data_file, tmp_path, capsys, label):
+    lines = data_file.read_text().splitlines()
+    row = next(i for i, ln in enumerate(lines) if not ln.startswith("#")) + 1
+    lines[row] = lines[row][:lines[row].rindex(",") + 1] + label
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = cli.main(["train", "--data", str(bad),
+                   "--out", str(tmp_path / "m.model")])
+    assert rc == cli.EXIT_INPUT
+    assert f"line {row + 1}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--scenarios", "1", "--horizon", "2"],
+    ["gen-data", "--samples", "20"],
+])
+def test_case_without_generators_exit_2(tmp_path, capsys, command):
+    text = bundled_case_text("sixbus")
+    head, rest = text.split("[generators]")
+    path = tmp_path / "nogen.case"
+    path.write_text(head + "[generators]\n[" + rest.split("[", 1)[1])
+    rc = cli.main([command[0], "--case", str(path), *command[1:],
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_INPUT
+    assert "no generators" in capsys.readouterr().err
+
+
 def test_missing_config_exit_2(tmp_path):
     rc = cli.main(["--config", str(tmp_path / "absent.cfg"),
                    "solve", "--case", "sixbus"])

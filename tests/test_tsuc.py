@@ -6,8 +6,8 @@ from ucsm.grid import build_matrices
 from ucsm.scenarios import build_scenarios, feature_vector
 from ucsm.simplex import LpStatus, solve_lp
 from ucsm.svm import Hyperplane
-from ucsm.tsuc import (TsucInstance, TsucMode, TsucStatus, brute_force_tsuc,
-                       build_milp, constraint_counts,
+from ucsm.tsuc import (FLOW_TOL_MW, TsucInstance, TsucMode, TsucStatus,
+                       brute_force_tsuc, build_milp, constraint_counts,
                        minimal_transitions, schedule_is_logical, solve_tsuc)
 from tests.conftest import make_tiny_case
 
@@ -289,3 +289,145 @@ def test_infeasible_instance_reported(tiny_case):
     assert sol.status is TsucStatus.INFEASIBLE
     assert sol.objective == np.inf
     assert big  # silence unused warning
+
+
+def _reference_rows(milp, x):
+    """The MILP's arrays and the rows pooled for x, built one row at a time
+    from the column layout u(g, t) = t*G + g, y = n_u + u, z = 2*n_u + u,
+    delta(g, s, t) = 3*n_u + ((s*T + t)*G + g)*K + k."""
+    inst, case = milp.inst, milp.inst.case
+    G, S, T, K = milp.G, milp.S, milp.T, milp.K
+    n_u = G * T
+    ncols = 3 * n_u + G * S * T * K
+    pmin, pmax = milp.pmin, milp.pmax
+
+    def u_col(g, t):
+        return t * G + g
+
+    def d_cols(g, s, t):
+        base = 3 * n_u + ((s * T + t) * G + g) * K
+        return slice(base, base + K)
+
+    def p_row(coef, s):  # coef over the hour-major dispatch p_s[t*G + g]
+        row = np.zeros(ncols)
+        for g in range(G):
+            for t in range(T):
+                row[u_col(g, t)] = coef[t * G + g] * pmin[g]
+                row[d_cols(g, s, t)] = coef[t * G + g]
+        return row
+
+    ref = {"c": np.zeros(ncols), "lo": np.zeros(ncols), "hi": np.ones(ncols)}
+    pi = [s.probability for s in inst.scenarios]
+    for g, gen in enumerate(case.generators):
+        curve = milp.curves[g]
+        for t in range(T):
+            ref["c"][u_col(g, t)] = gen.c0 + curve.base_value
+            ref["c"][n_u + u_col(g, t)] = gen.startup_cost
+            ref["c"][2 * n_u + u_col(g, t)] = gen.shutdown_cost
+            for s in range(S):
+                ref["c"][d_cols(g, s, t)] = pi[s] * curve.slopes
+                ref["hi"][d_cols(g, s, t)] = curve.widths
+
+    a_le, b_le = [], []
+    u0 = inst.initial_status
+    for g in range(G):
+        for t in range(T):
+            for sign, off in ((1.0, n_u), (-1.0, 2 * n_u)):
+                row = np.zeros(ncols)
+                row[u_col(g, t)] = sign
+                row[off + u_col(g, t)] = -1.0
+                if t:
+                    row[u_col(g, t - 1)] = -sign
+                a_le.append(row)
+                b_le.append(sign * float(u0[g]) if t == 0 else 0.0)
+    for g, gen in enumerate(case.generators):
+        for t in range(T):
+            for off, span, coef, rhs in ((n_u, gen.min_up, -1.0, 0.0),
+                                         (2 * n_u, gen.min_down, 1.0, 1.0)):
+                for tau in range(t, min(t + span, T)):
+                    row = np.zeros(ncols)
+                    row[off + u_col(g, t)] = 1.0
+                    row[u_col(g, tau)] = coef
+                    a_le.append(row)
+                    b_le.append(rhs)
+    for g in range(G):
+        for t in range(T):
+            row = np.zeros(ncols)
+            for s in range(S):
+                row[d_cols(g, s, t)] = 1.0
+            row[u_col(g, t)] = -S * (pmax[g] - pmin[g])
+            a_le.append(row)
+            b_le.append(0.0)
+    a_eq, b_eq = [], []
+    for s in range(S):
+        for t in range(T):
+            hour = np.zeros(n_u)
+            hour[t * G:(t + 1) * G] = 1.0
+            a_eq.append(p_row(hour, s))
+            b_eq.append(milp.load_total[s, t] - milp.wind_total[s, t])
+    ref.update(a_le=np.array(a_le), b_le=np.array(b_le),
+               a_eq=np.array(a_eq), b_eq=np.array(b_eq))
+
+    # Rows pooled for x: capacity per (g, s, t), then table rows per (s, r).
+    p = np.zeros((S, n_u))
+    for g in range(G):
+        for s in range(S):
+            for t in range(T):
+                p[s, t * G + g] = (pmin[g] * x[u_col(g, t)]
+                                   + x[d_cols(g, s, t)].sum())
+    pool_a, pool_b = [], []
+    for g in range(G):
+        for s in range(S):
+            for t in range(T):
+                u = x[u_col(g, t)]
+                excess = p[s, t * G + g] - pmin[g] * u - (pmax[g] - pmin[g]) * u
+                if excess > FLOW_TOL_MW:
+                    row = np.zeros(ncols)
+                    row[d_cols(g, s, t)] = 1.0
+                    row[u_col(g, t)] = -(pmax[g] - pmin[g])
+                    pool_a.append(row)
+                    pool_b.append(0.0)
+    n_cap = len(pool_b)
+    viol = p @ milp.row_coef.T - milp.row_rhs > milp.row_tol
+    for s, r in zip(*np.nonzero(viol)):
+        pool_a.append(p_row(milp.row_coef[r], s))
+        pool_b.append(milp.row_rhs[s, r])
+    ref["pool_a"] = np.array(pool_a).reshape(-1, ncols)
+    ref["pool_b"] = np.array(pool_b)
+    ref["dispatch"] = p.reshape(S, T, G).transpose(2, 0, 1)
+    return ref, n_cap
+
+
+def test_milp_matches_row_rules(grid24, sixbus):
+    """Every array the MILP hands the simplex, and the rows it pools for the
+    root LP's x, equal the per-row construction byte for byte, row order and
+    the -0.0 right-hand sides of the t = 0 shut-down rows included."""
+    tiny = make_tiny_case(line_limit=40.0)
+    cap = make_hyperplane(tiny, w_p=np.array([-1.0, 0.0]), bias=40.0)
+    cases = [
+        (tiny, TsucMode.FULL_NETWORK, None, 2, 3, 3, 5, None),
+        (tiny, TsucMode.SURROGATE, cap, 2, 3, 3, 5, None),
+        (sixbus, TsucMode.FULL_NETWORK, None, 2, 4, 2, 1, None),
+        (grid24, TsucMode.FULL_NETWORK, None, 2, 4, 2, 3,
+         np.array([1, 0, 1, 1, 0, 1])),
+    ]
+    pooled = [0, 0]
+    for case, mode, hp, S, T, K, seed, u0 in cases:
+        inst = TsucInstance(case, build_scenarios(case, S, T, seed), T, mode,
+                            hyperplane=hp, pwl_segments=K, initial_status=u0)
+        milp = build_milp(inst)
+        sol = solve_lp(milp.lp_problem(()))
+        assert sol.status is LpStatus.OPTIMAL
+        ref, n_cap = _reference_rows(milp, sol.x)
+        for name in ("c", "lo", "hi", "a_eq", "b_eq", "a_le", "b_le"):
+            assert getattr(milp, name).tobytes() == ref[name].tobytes(), name
+        # Each t = 0 shut-down row reads -u0 on the right: -0.0 when off.
+        assert np.signbit(milp.b_le[1:2 * milp.n_u:2 * T]).all()
+        assert milp.dispatch_of(sol.x).tobytes() == ref["dispatch"].tobytes()
+        eager = milp.b_le.size
+        assert milp.add_violated_rows(sol.x) == ref["pool_b"].size
+        assert milp.a_le[eager:].tobytes() == ref["pool_a"].tobytes()
+        assert milp.b_le[eager:].tobytes() == ref["pool_b"].tobytes()
+        pooled[0] += n_cap
+        pooled[1] += ref["pool_b"].size - n_cap
+    assert pooled[0] and pooled[1]  # both lazy families are compared
