@@ -2,9 +2,11 @@
 starts, bounded dual simplex for warm starts.
 
 Dense implementation with an explicitly maintained basis inverse (rank-1
-eta updates, periodic refactorization by ``np.linalg.inv``). A cold solve
-runs phase 1 from a crash basis of slacks and artificials, then phase 2,
-in which an artificial phase 1 left basic stays pinned at zero. A
+eta updates, periodic refactorization by ``np.linalg.inv``). An eta update
+writes only the block where its rank-one term is nonzero: the rows where
+B^-1 a_j is nonzero by the columns where the pivot row of B^-1 is. A cold
+solve runs phase 1 from a crash basis of slacks and artificials, then
+phase 2, in which an artificial phase 1 left basic stays pinned at zero. A
 warm solve factors the given basis, reoptimizes it with the dual simplex
 (which needs a dual feasible basis, as an optimal one stays after rows are
 appended or bounds tightened) and finishes with phase 2 as cleanup. Both
@@ -158,12 +160,11 @@ class _Tableau:
                                self.unit_sign[:k] * v[self.unit_row[:k]]])
 
     def ftran(self, j: int) -> np.ndarray:
-        """B^-1 a_j for column j."""
+        """B^-1 a_j for column j; a signed column of B^-1 for a unit one."""
         if j < self.n_struct:
             return self.binv @ self.a[:, j]
-        e = np.zeros(self.m)
-        e[self.unit_row[j - self.n_struct]] = self.unit_sign[j - self.n_struct]
-        return self.binv @ e
+        k = j - self.n_struct
+        return self.binv[:, self.unit_row[k]] * self.unit_sign[k]
 
     def price(self, cvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Duals y = c_B B^-1 and the reduced costs of the columns that
@@ -259,10 +260,12 @@ class _Tableau:
         self.status[j] = _BASIC
         self.xb[r] = self.xval[j] + theta
 
-        # Eta update of the inverse.
-        self.binv[r, :] /= w[r]
-        others = np.arange(self.m) != r
-        self.binv[others, :] -= np.outer(w[others], self.binv[r, :])
+        # Eta update of the inverse, on the block where the rank-one term
+        # is nonzero: the rows where w is, the columns where row r is.
+        row = self.binv[r] / w[r]
+        rows, cols = np.flatnonzero(w), np.flatnonzero(row)
+        self.binv[np.ix_(rows, cols)] -= np.multiply.outer(w[rows], row[cols])
+        self.binv[r] = row
         self.xval[self.basis] = self.xb
         self.since_refactor += 1
         if self.since_refactor >= 100:

@@ -69,6 +69,9 @@ class TsucInstance:
             raise ValueError("surrogate mode requires a hyperplane")
         if self.initial_status is None:
             self.initial_status = np.zeros(self.case.n_gens, dtype=int)
+        u0 = np.asarray(self.initial_status)
+        if u0.shape != (self.case.n_gens,) or not np.isin(u0, (0, 1)).all():
+            raise ValueError("initial_status must be one 0 or 1 per generator")
 
 
 @dataclass

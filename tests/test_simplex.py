@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from ucsm.errors import DimensionMismatch
-from ucsm.simplex import (INF_BOUND, LpProblem, LpStart, LpStatus, _Tableau,
-                          brute_force_lp, remap_start, solve_lp)
+from ucsm.simplex import (_AT_LO, _BASIC, INF_BOUND, LpProblem, LpStart,
+                          LpStatus, _Tableau, brute_force_lp, remap_start,
+                          solve_lp)
 
 
 def box(n):
@@ -300,3 +301,46 @@ def test_crash_basis_matches_row_rule(rng):
                 assert t.basis[i] == n + m_le + i
                 assert t.unit_sign[m_le + i] == (1.0 if r[i] >= 0 else -1.0)
         np.testing.assert_array_equal(t.xb, np.abs(r))
+
+
+def test_eta_update_matches_dense_rank_one(rng):
+    """The eta update writes only the block where w = B^-1 a_j and the
+    pivot row are nonzero; every entry still equals the dense masked
+    rank-one update, pivot after pivot. FTRAN of a slack or artificial
+    column is a signed column of B^-1, equal to B^-1 e."""
+    pivots = 0
+    for trial in range(120):
+        n, m_eq, m_le = (int(rng.integers(8, 30)), int(rng.integers(0, 6)),
+                         int(rng.integers(3, 20)))
+        m = m_eq + m_le
+        a = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.15)
+        prob = LpProblem(c=rng.normal(size=n), a_eq=a[:m_eq],
+                         b_eq=rng.normal(size=m_eq), a_le=a[m_eq:],
+                         b_le=rng.normal(size=m_le), lo=np.zeros(n),
+                         hi=np.full(n, 2.0))
+        t = _Tableau(prob)
+        t.cold_start()
+        if trial % 2:  # also from a factored basis, not just the crash one
+            t.warm_start(LpStart(basis=t.basis.copy(),
+                                 col_status=t.status.copy()))
+        for _ in range(min(m, 40)):
+            enter = [j for j in range(t.n_enter) if t.status[j] != _BASIC
+                     and np.any(t.ftran(j))]
+            if not enter:
+                break
+            j = int(rng.choice(enter))
+            w = t.ftran(j)
+            big = np.flatnonzero(np.abs(w) >= 0.5 * np.max(np.abs(w)))
+            r = int(rng.choice(big))
+            ref = t.binv.copy()
+            ref[r, :] /= w[r]
+            others = np.arange(m) != r
+            ref[others, :] -= np.outer(w[others], ref[r, :])
+            t.pivot(r, j, w, 0.0, _AT_LO)
+            np.testing.assert_array_equal(t.binv, ref)
+            pivots += 1
+            for k in range(t.n_struct, t.n_cols):
+                e = np.zeros(m)
+                e[t.unit_row[k - t.n_struct]] = t.unit_sign[k - t.n_struct]
+                np.testing.assert_array_equal(t.ftran(k), t.binv @ e)
+    assert pivots >= 1000

@@ -195,6 +195,19 @@ def test_surrogate_mode_requires_hyperplane(tiny_case):
         TsucInstance(tiny_case, scens, 2, TsucMode.SURROGATE)
 
 
+@pytest.mark.parametrize("u0", [[0.5] * 3, [2] * 3, [1]],
+                         ids=["fractional", "two", "length-1"])
+def test_instance_rejects_bad_initial_status(sixbus, u0):
+    """A fractional or non-binary u_0, or one of the wrong length, is an
+    input error, not an LP that solves to a fractional u_0, to INFEASIBLE
+    or to an IndexError inside solve_tsuc."""
+    assert sixbus.n_gens == 3
+    scens = build_scenarios(sixbus, 1, 2, 0)
+    with pytest.raises(ValueError, match="initial_status"):
+        TsucInstance(sixbus, scens, 2, TsucMode.FULL_NETWORK,
+                     initial_status=u0)
+
+
 def test_surrogate_feature_mismatch(tiny_case, sixbus):
     scens = build_scenarios(tiny_case, 1, 2, 0)
     wrong = make_hyperplane(sixbus)
