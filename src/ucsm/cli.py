@@ -62,6 +62,15 @@ def _read_config(path: str | None) -> dict:
     return out
 
 
+def _count(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+    def count(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+    return count
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -342,7 +351,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     g = sub.add_parser("gen-data", help="generate a labeled DCOPF dataset")
     g.add_argument("--case", required=True)
-    g.add_argument("--samples", type=int, default=1000)
+    g.add_argument("--samples", type=_count(50), default=1000)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen_data)
@@ -361,9 +370,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     s.add_argument("--case", required=True)
     s.add_argument("--model")
     s.add_argument("--mode", choices=["full", "surrogate"], default="full")
-    s.add_argument("--scenarios", type=int, default=3)
-    s.add_argument("--horizon", type=int, default=6)
-    s.add_argument("--segments", type=int, default=4)
+    s.add_argument("--scenarios", type=_count(1), default=3)
+    s.add_argument("--horizon", type=_count(1), default=6)
+    s.add_argument("--segments", type=_count(1), default=4)
     s.add_argument("--gap-tol", type=float, default=1e-6)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out")
@@ -371,14 +380,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     b = sub.add_parser("bench", help="paired full-vs-surrogate benchmark")
     b.add_argument("--case", required=True)
-    b.add_argument("--trials", type=int, default=5)
+    b.add_argument("--trials", type=_count(1), default=5)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--samples", type=int, default=600)
-    b.add_argument("--scenarios", type=int, default=3)
-    b.add_argument("--horizon", type=int, default=6)
-    b.add_argument("--segments", type=int, default=4)
+    b.add_argument("--samples", type=_count(50), default=600)
+    b.add_argument("--scenarios", type=_count(1), default=3)
+    b.add_argument("--horizon", type=_count(1), default=6)
+    b.add_argument("--segments", type=_count(1), default=4)
     b.add_argument("--gap-tol", type=float, default=1e-6)
-    b.add_argument("--repeats", type=int, default=3)
+    b.add_argument("--repeats", type=_count(1), default=3)
     b.add_argument("--out")
     b.set_defaults(func=cmd_bench)
 

@@ -19,6 +19,7 @@ from .pwl import pwl_cost
 from .simplex import LpProblem, LpStatus, solve_lp
 
 FEASIBILITY_TOL_MW = 1e-6
+SEGMENTS = 8  # PWL cost segments per generator, the LP's columns
 
 
 class DcopfStatus(Enum):
@@ -42,19 +43,6 @@ class FeasibilityLabel:
     violating_lines: list[int]
 
 
-def wind_bus_injection(case: SystemCase, wind_mw: np.ndarray) -> np.ndarray:
-    """Per-bus MW injection vector from per-wind-unit outputs."""
-    wind_mw = np.asarray(wind_mw, dtype=float)
-    if wind_mw.size != case.n_wind:
-        raise DimensionMismatch(
-            f"expected {case.n_wind} wind values, got {wind_mw.size}"
-        )
-    inj = np.zeros(case.n_buses)
-    for w, p in zip(case.wind_units, wind_mw):
-        inj[case.bus_index(w.bus)] += p
-    return inj
-
-
 def solve_dcopf(
     case: SystemCase,
     wind_mw: np.ndarray,
@@ -62,7 +50,6 @@ def solve_dcopf(
     enforce_limits: bool = True,
     *,
     mats: GridMatrices | None = None,
-    segments: int = 8,
 ) -> DcopfResult:
     """Least-cost dispatch under DC power flow.
 
@@ -70,57 +57,41 @@ def solve_dcopf(
     per bus. With ``enforce_limits`` off, only the power balance and the
     generator capability ranges constrain the dispatch.
     """
+    wind_mw = np.asarray(wind_mw, dtype=float)
     load_mw = np.asarray(load_mw, dtype=float)
     if load_mw.size != case.n_buses:
         raise DimensionMismatch(
             f"expected {case.n_buses} bus loads, got {load_mw.size}"
         )
+    if wind_mw.size != case.n_wind:
+        raise DimensionMismatch(
+            f"expected {case.n_wind} wind values, got {wind_mw.size}"
+        )
     if mats is None:
         mats = build_matrices(case)
-    ngen = case.n_gens
-    curves = [pwl_cost(g, segments) for g in case.generators]
-    widths = [c.widths for c in curves]
-    nvar = sum(w.size for w in widths)
-    offs = np.cumsum([0] + [w.size for w in widths])
-
-    c_obj = np.concatenate([c.slopes for c in curves])
-    lo = np.zeros(nvar)
-    hi = np.concatenate(widths)
+    curves = [pwl_cost(g, SEGMENTS) for g in case.generators]
+    hi = np.concatenate([c.widths for c in curves])
     pmin = np.array([g.p_min for g in case.generators])
 
-    wind_inj = wind_bus_injection(case, wind_mw)
-    residual = float(load_mw.sum() - wind_inj.sum() - pmin.sum())
-    a_eq = np.ones((1, nvar))
-    b_eq = np.array([residual])
-
+    a_le, b_le = np.zeros((0, hi.size)), np.zeros(0)
     if enforce_limits and case.n_lines:
-        gen_cols = np.zeros((case.n_lines, nvar))
-        for gi, g in enumerate(case.generators):
-            col = mats.ptdf[:, case.bus_index(g.bus)]
-            gen_cols[:, offs[gi]:offs[gi + 1]] = col[:, None]
-        base_inj = wind_inj - load_mw
-        for gi, g in enumerate(case.generators):
-            base_inj[case.bus_index(g.bus)] += g.p_min
-        base_flow = mats.ptdf @ base_inj
+        gen_cols = np.repeat(mats.ptdf[:, mats.gen_bus], SEGMENTS, axis=1)
+        base_flow = mats.ptdf @ mats.injection(load_mw, wind_mw, pmin)
         limits = case.line_limits
         a_le = np.vstack([gen_cols, -gen_cols])
         b_le = np.concatenate([limits - base_flow, limits + base_flow])
-    else:
-        a_le = np.zeros((0, nvar))
-        b_le = np.zeros(0)
 
-    lp = LpProblem(c=c_obj, a_eq=a_eq, b_eq=b_eq, a_le=a_le, b_le=b_le, lo=lo, hi=hi)
-    sol = solve_lp(lp)
+    sol = solve_lp(LpProblem(
+        c=np.concatenate([c.slopes for c in curves]),
+        a_eq=np.ones((1, hi.size)),
+        b_eq=np.array([load_mw.sum() - wind_mw.sum() - pmin.sum()]),
+        a_le=a_le, b_le=b_le, lo=np.zeros(hi.size), hi=hi))
     if sol.status is not LpStatus.OPTIMAL:
         empty = np.zeros(0)
         return DcopfResult(DcopfStatus.INFEASIBLE, empty, empty, empty, np.inf)
 
-    dispatch = np.array([
-        pmin[gi] + sol.x[offs[gi]:offs[gi + 1]].sum() for gi in range(ngen)
-    ])
-    injection = wind_inj - load_mw
-    for gi, g in enumerate(case.generators):
-        injection[case.bus_index(g.bus)] += dispatch[gi]
+    dispatch = pmin + sol.x.reshape(-1, SEGMENTS).sum(axis=1)
+    injection = mats.injection(load_mw, wind_mw, dispatch)
     flows = mats.ptdf @ injection
     angles = mats.angles(injection, case.base_mva)
     fixed = sum(g.c0 + c.base_value for g, c in zip(case.generators, curves))

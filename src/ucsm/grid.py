@@ -195,30 +195,48 @@ class GridMatrices:
     ptdf: np.ndarray       # |L| x |B|, MW flow per MW injection
     ref_index: int
     reduced_lu: tuple = field(repr=False)  # LU of b_matrix, ref row/col removed
+    gen_bus: np.ndarray    # (G,) bus index of each generator
+    wind_bus: np.ndarray   # (W,) bus index of each wind unit
+
+    def injection(self, load_mw, wind_mw, gen_mw=None) -> np.ndarray:
+        """Net MW injection, buses on axis 0: wind plus dispatch minus load.
+
+        ``wind_mw`` (W, ...) and ``gen_mw`` (G, ...) share the load's trailing
+        shape; units on one bus are added in unit order. The result keeps
+        the load's memory order.
+        """
+        inj = np.zeros_like(load_mw, dtype=float)
+        np.add.at(inj, self.wind_bus, wind_mw)
+        inj -= load_mw
+        if gen_mw is not None:
+            np.add.at(inj, self.gen_bus, gen_mw)
+        return inj
 
     def angles(self, injection_mw: np.ndarray, base_mva: float) -> np.ndarray:
         """Bus voltage angles (rad) for a balanced MW injection vector, or
         for each column of an (N, k) matrix of them."""
         p = np.asarray(injection_mw, dtype=float) / base_mva
         keep = np.arange(p.shape[0]) != self.ref_index
-        th_red = lu_backsolve(*self.reduced_lu, p[keep])
         theta = np.zeros(p.shape)
-        theta[keep] = th_red
+        theta[keep] = lu_backsolve(*self.reduced_lu, p[keep])
         return theta
 
 
 def build_matrices(case: SystemCase) -> GridMatrices:
-    """Susceptance Laplacian, PTDF matrix, and the reduced Laplacian's LU."""
+    """Susceptance Laplacian, PTDF matrix, the reduced Laplacian's LU, and
+    the bus index of every generator and wind unit."""
+    def at(bus_ids) -> np.ndarray:
+        return np.array([case.bus_index(b) for b in bus_ids], dtype=int)
+
     nb = case.n_buses
+    fb = at(ln.from_bus for ln in case.lines)
+    tb = at(ln.to_bus for ln in case.lines)
+    x = np.array([ln.reactance_x for ln in case.lines])
+    # Line by line: +1/x on both diagonal entries, -1/x on both others.
     bmat = np.zeros((nb, nb))
-    for ln in case.lines:
-        i = case.bus_index(ln.from_bus)
-        j = case.bus_index(ln.to_bus)
-        y = 1.0 / ln.reactance_x
-        bmat[i, i] += y
-        bmat[j, j] += y
-        bmat[i, j] -= y
-        bmat[j, i] -= y
+    np.add.at(bmat, (np.column_stack([fb, tb, fb, tb]),
+                     np.column_stack([fb, tb, tb, fb])),
+              (1.0 / x)[:, None] * [1.0, 1.0, -1.0, -1.0])
     ref = case.ref_index
     keep = np.arange(nb) != ref
     lu = lu_factor(bmat[np.ix_(keep, keep)])  # SingularMatrix if disconnected
@@ -227,12 +245,10 @@ def build_matrices(case: SystemCase) -> GridMatrices:
     xred = np.column_stack([lu_backsolve(*lu, eye[:, k]) for k in range(nb - 1)])
     xfull = np.zeros((nb, nb))
     xfull[np.ix_(keep, keep)] = xred
-    ptdf = np.zeros((case.n_lines, nb))
-    for li, ln in enumerate(case.lines):
-        i = case.bus_index(ln.from_bus)
-        j = case.bus_index(ln.to_bus)
-        ptdf[li] = (xfull[i] - xfull[j]) / ln.reactance_x
-    return GridMatrices(bmat, ptdf, ref, lu)
+    ptdf = (xfull[fb] - xfull[tb]) / x[:, None]
+    return GridMatrices(bmat, ptdf, ref, lu,
+                        gen_bus=at(g.bus for g in case.generators),
+                        wind_bus=at(w.bus for w in case.wind_units))
 
 
 # ---------------------------------------------------------------------------

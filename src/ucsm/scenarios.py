@@ -249,6 +249,7 @@ def dataset_from_csv(text: str) -> Dataset:
             continue
         if header is None:
             header = [h.strip() for h in line.split(",")]
+            header_line = lineno
             if not header or header[-1] != "label":
                 raise DimensionMismatch("dataset header must end with 'label'")
             continue
@@ -279,11 +280,21 @@ def dataset_from_csv(text: str) -> Dataset:
     def _ints(raw):
         return np.array([int(v) for v in raw.split(",") if v], dtype=int)
 
+    def _split(key):
+        """A non-empty list of sample indices in [0, n)."""
+        if key not in meta:
+            raise ParseError(header_line, f"missing '# {key}=' line")
+        idx = _meta(key, _ints)
+        if not idx.size or idx.min() < 0 or idx.max() >= len(samples):
+            raise ParseError(meta[key][0], f"{key} must list indices in "
+                                           f"[0, {len(samples)})")
+        return idx
+
     return Dataset(
         samples=samples,
         feature_names=header[:-1],
         split_seed=_meta("seed", int, "0"),
-        train_indices=_meta("train_indices", _ints),
-        test_indices=_meta("test_indices", _ints),
+        train_indices=_split("train_indices"),
+        test_indices=_split("test_indices"),
         case_hash=_meta("case_hash", str),
     )

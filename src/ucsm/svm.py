@@ -387,9 +387,10 @@ def model_from_text(text: str) -> tuple[Hyperplane, Standardizer, int, float]:
     s = Standardizer(mean=_get("standardizer_mean", _floats),
                      std=_get("standardizer_std", _floats),
                      kept=kept, n_features=n_features)
-    if h.weights_physical.size != n_features:
+    sizes = (len(h.feature_names), h.weights_physical.size, n_features)
+    if len(set(sizes)) > 1:
         raise FeatureMismatch(
-            f"physical weights have {h.weights_physical.size} entries, "
-            f"standardizer covers {n_features} features"
+            "model has %d feature names and %d physical weights; its "
+            "standardizer covers %d features" % sizes
         )
     return h, s, _get("train_seed", int, "0"), _get("margin", float, "nan")

@@ -178,19 +178,14 @@ class _Milp:
         self.widths = np.array([c.widths for c in self.curves])  # (G, K)
         self.slopes = np.array([c.slopes for c in self.curves])  # (G, K)
 
-        # Scenario data.
-        self.wind_total = np.array([
-            s.wind_mw.sum(axis=0) for s in inst.scenarios
-        ])  # (S, T)
-        self.load_bus = np.array([
-            s.loads(case) for s in inst.scenarios
-        ])  # (S, N, T)
-        self.load_total = self.load_bus.sum(axis=1)  # (S, T)
-        self.wind_bus = np.zeros((S, case.n_buses, T))
-        for si, s in enumerate(inst.scenarios):
-            for wi, w in enumerate(case.wind_units):
-                self.wind_bus[si, case.bus_index(w.bus)] += s.wind_mw[wi]
-        self.gen_bus = np.array([case.bus_index(g.bus) for g in case.generators])
+        # Scenario data: totals per (s, t) and the injection before dispatch,
+        # an (N, S, T) view of scenario-major memory, the order in which the
+        # flow rows' einsum sums over buses.
+        load = np.array([s.loads(case) for s in inst.scenarios])  # (S, N, T)
+        wind = np.array([s.wind_mw for s in inst.scenarios])  # (S, W, T)
+        self.load_total, self.wind_total = load.sum(axis=1), wind.sum(axis=1)
+        self.inj = self.mats.injection(load.transpose(1, 0, 2),
+                                       wind.transpose(1, 0, 2))
 
         # Objective: no-load cost on u (sum(pi) = 1), start-up on y,
         # shut-down on z, expected segment cost on delta; delta <= width.
@@ -300,9 +295,8 @@ class _Milp:
 
         if inst.mode is TsucMode.FULL_NETWORK:
             # sign * flow <= limit, flow = PTDF (wind - load + gen injections).
-            base = np.einsum("lb,sbt->lst", self.mats.ptdf,
-                             self.wind_bus - self.load_bus)
-            gcoef = self.mats.ptdf[:, self.gen_bus]  # (L, G)
+            base = np.einsum("lb,bst->lst", self.mats.ptdf, self.inj)
+            gcoef = self.mats.ptdf[:, self.mats.gen_bus]  # (L, G)
             for sign in (1.0, -1.0):
                 for li, limit in enumerate(case.line_limits):
                     for t in range(T):
@@ -418,13 +412,10 @@ def _solution(
         # Zero out numerical dust on offline units.
         p = np.where(u[:, None, :] == 0, 0.0, p)
         schedule = Schedule(u, *minimal_transitions(u, milp.inst.initial_status))
-        inj = milp.wind_bus - milp.load_bus  # (S, N, T)
-        for g in range(milp.G):
-            inj[:, milp.gen_bus[g]] += p[g]
-        n = inj.shape[1]
-        angles = milp.mats.angles(inj.transpose(1, 0, 2).reshape(n, -1),
-                                  milp.inst.case.base_mva)
-        angles = angles.reshape(n, milp.S, milp.T)
+        inj = milp.inj.copy()
+        np.add.at(inj, milp.mats.gen_bus, p)
+        angles = milp.mats.angles(inj.reshape(inj.shape[0], -1),
+                                  milp.inst.case.base_mva).reshape(inj.shape)
     return TsucSolution(status=status, schedule=schedule, dispatch=p,
                         angles=angles, objective=objective, stats=stats)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ucsm import cli
-from ucsm.dcopf import DcopfStatus, solve_dcopf, wind_bus_injection
+from ucsm.dcopf import DcopfStatus, solve_dcopf
 from ucsm.grid import build_matrices, load_bundled_case
 from ucsm.scenarios import build_scenarios, generate_dataset, wind_realization, z_grid
 from ucsm.simplex import LpProblem, LpStatus, brute_force_lp, solve_lp
@@ -133,7 +133,9 @@ def test_criterion_3_dc_consistency():
             res = solve_dcopf(case, wind, load, mats=mats)
             if res.status is not DcopfStatus.OPTIMAL:
                 continue
-            bal = wind_bus_injection(case, wind) - load
+            bal = -load
+            for wi, w in enumerate(case.wind_units):
+                bal[case.bus_index(w.bus)] += wind[wi]
             for gi, g in enumerate(case.generators):
                 bal[case.bus_index(g.bus)] += res.dispatch[gi]
             resid = mats.b_matrix @ res.angles * case.base_mva - bal

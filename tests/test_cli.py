@@ -205,7 +205,7 @@ def test_train_label_outside_pm1_exit_2(data_file, tmp_path, capsys, label):
 
 @pytest.mark.parametrize("command", [
     ["solve", "--scenarios", "1", "--horizon", "2"],
-    ["gen-data", "--samples", "20"],
+    ["gen-data", "--samples", "50"],
 ])
 def test_case_without_generators_exit_2(tmp_path, capsys, command):
     text = bundled_case_text("sixbus")
@@ -216,6 +216,73 @@ def test_case_without_generators_exit_2(tmp_path, capsys, command):
                    "--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_INPUT
     assert "no generators" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--horizon", "0"],
+    ["solve", "--scenarios", "0"],
+    ["solve", "--segments", "0"],
+    ["gen-data", "--samples", "10"],
+])
+def test_count_below_bound_exit_2(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command[0], "--case", "sixbus", *command[1:],
+                  "--out", str(tmp_path / "out")])
+    assert exc.value.code == cli.EXIT_INPUT
+    assert f"argument {command[1]}: must be >= " in capsys.readouterr().err
+
+
+def test_config_count_below_bound_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "ucsm.cfg"
+    cfg.write_text("horizon = 0\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(cfg), "solve", "--case", "sixbus"])
+    assert exc.value.code == cli.EXIT_INPUT
+    assert "argument --horizon: must be >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("train_indices", None),      # line missing
+    ("test_indices", None),
+    ("test_indices", ""),         # empty split
+    ("train_indices", "0,1,100000"),  # index past the last sample
+    ("test_indices", "-1"),
+])
+def test_train_bad_split_exit_2(data_file, tmp_path, capsys, key, value):
+    lines = data_file.read_text().splitlines()
+    row = next(i for i, ln in enumerate(lines) if ln.startswith(f"# {key}="))
+    if value is None:
+        del lines[row]
+        row = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    else:
+        lines[row] = f"# {key}={value}"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = cli.main(["train", "--data", str(bad),
+                   "--out", str(tmp_path / "m.model")])
+    assert rc == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {row + 1}: ") and key in err
+    assert err.count("\n") == 1
+
+
+def test_solve_model_weight_count_mismatch_exit_4(model_file, tmp_path, capsys):
+    # One physical weight short of the feature names; the standardizer
+    # count agrees with the weights.
+    lines = model_file.read_text().splitlines()
+    for i, ln in enumerate(lines):
+        key, _, val = ln.partition("=")
+        if key == "w_physical":
+            lines[i] = key + "=" + val.rsplit(",", 1)[0]
+        elif key == "standardizer_n_features":
+            lines[i] = f"{key}={int(val) - 1}"
+    bad = tmp_path / "bad.model"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = cli.main(["solve", "--case", "sixbus", "--mode", "surrogate",
+                   "--model", str(bad), "--scenarios", "2", "--horizon", "3"])
+    assert rc == cli.EXIT_MISMATCH
+    err = capsys.readouterr().err
+    assert err.startswith("error: model has ") and err.count("\n") == 1
 
 
 def test_missing_config_exit_2(tmp_path):

@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
 
-from ucsm.dcopf import (DcopfStatus, check_feasibility, solve_dcopf,
-                        wind_bus_injection)
+from ucsm.dcopf import DcopfStatus, check_feasibility, solve_dcopf
 from ucsm.errors import DimensionMismatch
 from ucsm.grid import build_matrices
 
 
-def test_wind_bus_injection_layout(tiny_case):
-    inj = wind_bus_injection(tiny_case, np.array([12.5]))
-    np.testing.assert_allclose(inj, [0.0, 12.5, 0.0])
-    with pytest.raises(DimensionMismatch):
-        wind_bus_injection(tiny_case, np.array([1.0, 2.0]))
+def test_wind_length_mismatch(tiny_case):
+    with pytest.raises(DimensionMismatch, match="expected 1 wind values"):
+        solve_dcopf(tiny_case, np.array([1.0, 2.0]), tiny_case.loads)
 
 
 def test_balance_holds(tiny_case):
@@ -65,7 +62,9 @@ def test_nodal_balance_residuals(tiny_case, rng):
         res = solve_dcopf(tiny_case, wind, loads, mats=mats)
         if res.status is not DcopfStatus.OPTIMAL:
             continue
-        inj = wind_bus_injection(tiny_case, wind) - loads
+        inj = -loads
+        for wi, w in enumerate(tiny_case.wind_units):
+            inj[tiny_case.bus_index(w.bus)] += wind[wi]
         for gi, g in enumerate(tiny_case.generators):
             inj[tiny_case.bus_index(g.bus)] += res.dispatch[gi]
         residual = mats.b_matrix @ res.angles * tiny_case.base_mva - inj
@@ -94,11 +93,3 @@ def test_check_feasibility_labels(tiny_case):
 def test_check_feasibility_dimension(tiny_case):
     with pytest.raises(DimensionMismatch):
         check_feasibility(tiny_case, np.zeros(5))
-
-
-def test_more_segments_never_cheaper_truth(tiny_case):
-    """Finer PWL gives a cost no larger (tighter over-approximation)."""
-    wind = np.array([6.0])
-    coarse = solve_dcopf(tiny_case, wind, tiny_case.loads, segments=2)
-    fine = solve_dcopf(tiny_case, wind, tiny_case.loads, segments=16)
-    assert fine.objective <= coarse.objective + 1e-6

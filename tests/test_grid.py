@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,31 @@ def test_ptdf_matches_angle_flows(tiny_case, rng):
             for ln in tiny_case.lines
         ])
         np.testing.assert_allclose(via_ptdf, direct, atol=1e-8)
+
+
+def test_injection_matches_unit_loop(rng):
+    """Two generators and two wind units on bus 3: each unit adds in unit
+    order, exactly as a per-unit bus_index loop does."""
+    base = make_tiny_case()
+    wind_unit = replace(base.wind_units[0], bus=3)
+    case = replace(base, generators=(replace(base.generators[0], bus=3),
+                                     base.generators[1]),
+                   wind_units=(wind_unit, wind_unit))
+    mats = build_matrices(case)
+    for trailing in ((), (2, 5)):  # an (N,) load and an (N, S, T) load
+        load = rng.normal(size=(case.n_buses, *trailing)) * 50.0
+        wind = rng.uniform(0.0, 30.0, size=(case.n_wind, *trailing))
+        gen = rng.uniform(5.0, 80.0, size=(case.n_gens, *trailing))
+        loop = np.zeros(load.shape)
+        for w, unit in enumerate(case.wind_units):
+            loop[case.bus_index(unit.bus)] += wind[w]
+        loop = loop - load
+        assert mats.injection(load, wind).tobytes() == loop.tobytes()
+        for g, unit in enumerate(case.generators):
+            loop[case.bus_index(unit.bus)] += gen[g]
+        got = mats.injection(load, wind, gen)
+        assert got.shape == load.shape
+        assert got.tobytes() == loop.tobytes()
 
 
 def test_angles_reproduce_injection(tiny_case, rng):
