@@ -20,9 +20,6 @@ from .svm import (ConfusionMatrix, SvmConfig, evaluate, fit_standardizer,
                   train_svm, unscale_hyperplane)
 from .tsuc import TsucInstance, TsucMode, constraint_counts, solve_tsuc
 
-C_NEGATIVE = 10.0  # infeasible-class penalty, as ``ucsm train`` defaults to
-
-
 @dataclass
 class TrialRow:
     seed: int
@@ -150,10 +147,8 @@ def run_benchmark(
             xtr, ytr = ds.train
             xte, yte = ds.test
             std = fit_standardizer(xtr)
-            cfg = SvmConfig(c_positive=1.0, c_negative=C_NEGATIVE,
-                            tolerance=1e-4, max_passes=1000,
-                            rng_seed=trial_seed)
-            hs, train_rep = train_svm(std.transform(xtr), ytr, cfg,
+            hs, train_rep = train_svm(std.transform(xtr), ytr,
+                                      SvmConfig(rng_seed=trial_seed),
                                       tuple(ds.feature_names))
             hp = unscale_hyperplane(hs, std)
             if report.confusion is None:

@@ -62,13 +62,16 @@ def _read_config(path: str | None) -> dict:
     return out
 
 
-def _count(low: int):
-    """argparse type: an integer no smaller than ``low``."""
-    def count(text: str) -> int:
-        if int(text) < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
-        return int(text)
-    return count
+def _number(low: float, conv=int, strict: bool = False):
+    """argparse type: a ``conv`` number no smaller than ``low``, or above
+    it when ``strict``."""
+    def number(text: str):
+        val = conv(text)
+        if not (val > low if strict else val >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low:g}, got {text}")
+        return val
+    return number
 
 
 # ---------------------------------------------------------------------------
@@ -92,13 +95,8 @@ def cmd_train(args) -> int:
     xtr, ytr = ds.train
     xte, yte = ds.test
     std = sv.fit_standardizer(xtr)
-    cfg = sv.SvmConfig(
-        c_positive=1.0,
-        c_negative=float(args.cneg_ratio),
-        tolerance=args.tolerance,
-        max_passes=args.max_passes,
-        rng_seed=args.seed,
-    )
+    cfg = sv.SvmConfig(c_negative=args.cneg_ratio, tolerance=args.tolerance,
+                       max_passes=args.max_passes, rng_seed=args.seed)
     hs, report = sv.train_svm(std.transform(xtr), ytr, cfg,
                               tuple(ds.feature_names))
     hp = sv.unscale_hyperplane(hs, std)
@@ -351,28 +349,32 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     g = sub.add_parser("gen-data", help="generate a labeled DCOPF dataset")
     g.add_argument("--case", required=True)
-    g.add_argument("--samples", type=_count(50), default=1000)
+    g.add_argument("--samples", type=_number(50), default=1000)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen_data)
 
+    svm_defaults = sv.SvmConfig()
     t = sub.add_parser("train", help="train the feasibility classifier")
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True)
-    t.add_argument("--cneg-ratio", type=float, default=10.0,
+    t.add_argument("--cneg-ratio", default=svm_defaults.c_negative,
+                   type=_number(svm_defaults.c_positive, float),
                    help="penalty ratio for misclassified infeasible points")
-    t.add_argument("--tolerance", type=float, default=1e-4)
-    t.add_argument("--max-passes", type=int, default=1000)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--tolerance", type=_number(0.0, float, strict=True),
+                   default=svm_defaults.tolerance)
+    t.add_argument("--max-passes", type=_number(1),
+                   default=svm_defaults.max_passes)
+    t.add_argument("--seed", type=int, default=svm_defaults.rng_seed)
     t.set_defaults(func=cmd_train)
 
     s = sub.add_parser("solve", help="solve the stochastic unit commitment")
     s.add_argument("--case", required=True)
     s.add_argument("--model")
     s.add_argument("--mode", choices=["full", "surrogate"], default="full")
-    s.add_argument("--scenarios", type=_count(1), default=3)
-    s.add_argument("--horizon", type=_count(1), default=6)
-    s.add_argument("--segments", type=_count(1), default=4)
+    s.add_argument("--scenarios", type=_number(1), default=3)
+    s.add_argument("--horizon", type=_number(1), default=6)
+    s.add_argument("--segments", type=_number(1), default=4)
     s.add_argument("--gap-tol", type=float, default=1e-6)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out")
@@ -380,14 +382,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     b = sub.add_parser("bench", help="paired full-vs-surrogate benchmark")
     b.add_argument("--case", required=True)
-    b.add_argument("--trials", type=_count(1), default=5)
+    b.add_argument("--trials", type=_number(1), default=5)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--samples", type=_count(50), default=600)
-    b.add_argument("--scenarios", type=_count(1), default=3)
-    b.add_argument("--horizon", type=_count(1), default=6)
-    b.add_argument("--segments", type=_count(1), default=4)
+    b.add_argument("--samples", type=_number(50), default=600)
+    b.add_argument("--scenarios", type=_number(1), default=3)
+    b.add_argument("--horizon", type=_number(1), default=6)
+    b.add_argument("--segments", type=_number(1), default=4)
     b.add_argument("--gap-tol", type=float, default=1e-6)
-    b.add_argument("--repeats", type=_count(1), default=3)
+    b.add_argument("--repeats", type=_number(1), default=3)
     b.add_argument("--out")
     b.set_defaults(func=cmd_bench)
 
@@ -420,7 +422,7 @@ def main(argv=None) -> int:
                     sub.error(f"config value {act.dest} = {own[act.dest]!r}: "
                               f"choose from {', '.join(act.choices)}")
         return args.func(args)
-    except (FileNotFoundError, ParseError, ValidationError,
+    except (OSError, UnicodeDecodeError, ParseError, ValidationError,
             DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

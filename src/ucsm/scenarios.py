@@ -37,14 +37,9 @@ class Scenario:
 
 
 @dataclass
-class LabeledSample:
-    features: np.ndarray
-    label: int
-
-
-@dataclass
 class Dataset:
-    samples: list[LabeledSample]
+    x: np.ndarray                 # (n, d) features, one row per sample
+    y: np.ndarray                 # (n,) int labels in {-1, +1}
     feature_names: list[str]
     split_seed: int
     train_indices: np.ndarray
@@ -52,25 +47,18 @@ class Dataset:
     case_hash: str = ""
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-    def matrix(self, indices=None) -> tuple[np.ndarray, np.ndarray]:
-        idx = range(len(self.samples)) if indices is None else indices
-        x = np.array([self.samples[i].features for i in idx])
-        y = np.array([self.samples[i].label for i in idx])
-        return x, y
+        return len(self.y)
 
     @property
-    def train(self):
-        return self.matrix(self.train_indices)
+    def train(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.x[self.train_indices], self.y[self.train_indices]
 
     @property
-    def test(self):
-        return self.matrix(self.test_indices)
+    def test(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.x[self.test_indices], self.y[self.test_indices]
 
     def class_counts(self) -> tuple[int, int]:
-        labels = np.array([s.label for s in self.samples])
-        return int((labels == 1).sum()), int((labels == -1).sum())
+        return int((self.y == 1).sum()), int((self.y == -1).sum())
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -120,7 +108,8 @@ def generate_dataset(
         mats = build_matrices(case)
     cap = -(-n_target // 2)
     grid = z_grid()
-    samples: list[LabeledSample] = []
+    rows: list[np.ndarray] = []
+    labels: list[int] = []
     n_pos = n_neg = 0
 
     # Step 1: constrained DCOPF, z swept over the grid; every optimal
@@ -136,8 +125,8 @@ def generate_dataset(
             wind = wind_realization(mu, sigma, z)
             res = solve_dcopf(case, wind, load, True, mats=mats)
             if res.status is DcopfStatus.OPTIMAL:
-                samples.append(LabeledSample(feature_vector(mu, sigma, res.dispatch),
-                                             1))
+                rows.append(feature_vector(mu, sigma, res.dispatch))
+                labels.append(1)
                 n_pos += 1
         draw += 1
 
@@ -162,8 +151,8 @@ def generate_dataset(
                 continue
             if label == -1 and n_neg >= cap:
                 continue
-            samples.append(LabeledSample(feature_vector(mu, sigma, res.dispatch),
-                                         label))
+            rows.append(feature_vector(mu, sigma, res.dispatch))
+            labels.append(label)
             if label == 1:
                 n_pos += 1
             else:
@@ -172,11 +161,12 @@ def generate_dataset(
         ratio = min(n_pos, n_neg) / max(n_pos, n_neg, 1)
         raise BalancingFailed(attempts, ratio)
 
-    n = len(samples)
+    n = len(rows)
     n_train = round(TRAIN_FRACTION * n)
     perm = _rng(rng_seed, 3).permutation(n)
     return Dataset(
-        samples=samples,
+        x=np.array(rows),
+        y=np.array(labels),
         feature_names=case.feature_names(),
         split_seed=rng_seed,
         train_indices=np.sort(perm[:n_train]),
@@ -229,16 +219,17 @@ def dataset_to_csv(ds: Dataset) -> str:
     buf.write(f"# train_indices={','.join(map(str, ds.train_indices))}\n")
     buf.write(f"# test_indices={','.join(map(str, ds.test_indices))}\n")
     buf.write(",".join(ds.feature_names) + ",label\n")
-    for s in ds.samples:
-        vals = ",".join(repr(float(v)) for v in s.features)
-        buf.write(f"{vals},{s.label:+d}\n")
+    for features, label in zip(ds.x, ds.y):
+        vals = ",".join(repr(float(v)) for v in features)
+        buf.write(f"{vals},{label:+d}\n")
     return buf.getvalue()
 
 
 def dataset_from_csv(text: str) -> Dataset:
     meta: dict[str, tuple[int, str]] = {}  # key -> (1-based line, value)
     header = None
-    samples = []
+    rows: list[list[float]] = []
+    labels: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
@@ -259,14 +250,15 @@ def dataset_from_csv(text: str) -> Dataset:
                 f"row has {len(parts)} columns, header has {len(header)}"
             )
         try:
-            features = np.array([float(v) for v in parts[:-1]])
+            features = [float(v) for v in parts[:-1]]
             label = float(parts[-1])
         except ValueError:
             raise ParseError(lineno, f"non-numeric field in {line!r}") from None
         if label not in (1.0, -1.0):
             raise ParseError(lineno, "label must be +1 or -1, got "
                                      f"{parts[-1].strip()!r}")
-        samples.append(LabeledSample(features=features, label=int(label)))
+        rows.append(features)
+        labels.append(int(label))
     if header is None:
         raise DimensionMismatch("dataset file has no header row")
 
@@ -285,13 +277,14 @@ def dataset_from_csv(text: str) -> Dataset:
         if key not in meta:
             raise ParseError(header_line, f"missing '# {key}=' line")
         idx = _meta(key, _ints)
-        if not idx.size or idx.min() < 0 or idx.max() >= len(samples):
+        if not idx.size or idx.min() < 0 or idx.max() >= len(rows):
             raise ParseError(meta[key][0], f"{key} must list indices in "
-                                           f"[0, {len(samples)})")
+                                           f"[0, {len(rows)})")
         return idx
 
     return Dataset(
-        samples=samples,
+        x=np.array(rows),
+        y=np.array(labels),
         feature_names=header[:-1],
         split_seed=_meta("seed", int, "0"),
         train_indices=_split("train_indices"),

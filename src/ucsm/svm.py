@@ -15,8 +15,6 @@ import numpy as np
 from .errors import (DimensionMismatch, FeatureMismatch, ParseError,
                      SingleClassData)
 
-C_NEGATIVE_GRID = (1.0, 5.0, 10.0, 50.0, 100.0)
-CV_FOLDS = 5
 MARGIN_TOL = 1e-9  # violations deeper than this leave the margin
 COEFF_PRINT_FLOOR = 1e-3  # relative magnitude below which a report prints 0
 
@@ -56,10 +54,12 @@ def fit_standardizer(x: np.ndarray) -> Standardizer:
 
 @dataclass(frozen=True)
 class SvmConfig:
+    """Training settings; the defaults are those of ``ucsm train``."""
+
     c_positive: float = 1.0
     c_negative: float = 10.0
-    tolerance: float = 1e-6
-    max_passes: int = 2000
+    tolerance: float = 1e-4
+    max_passes: int = 1000
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -67,6 +67,8 @@ class SvmConfig:
             raise ValueError("require c_negative >= c_positive > 0")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be > 0")
+        if self.max_passes < 1:
+            raise ValueError("max_passes must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -264,58 +266,6 @@ def compute_margin(h: Hyperplane, x: np.ndarray, y: np.ndarray) -> float:
     vals = y * d / norm
     ok = vals >= -MARGIN_TOL
     return float(vals[ok].min()) if np.any(ok) else 0.0
-
-
-def grid_search_train(
-    x: np.ndarray,
-    y: np.ndarray,
-    feature_names: tuple[str, ...],
-    *,
-    base_config: SvmConfig = SvmConfig(),
-) -> tuple[Hyperplane, Standardizer, TrainReport, float]:
-    """5-fold cross-validated grid search over the infeasible-class penalty.
-
-    Selects the c_negative with the lowest mean false-positive rate, ties
-    broken by higher mean accuracy; refits on the full training data and
-    returns the hyperplane in physical units.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float).ravel()
-    n = x.shape[0]
-    rng = np.random.Generator(np.random.PCG64(base_config.rng_seed))
-    perm = rng.permutation(n)
-    fold_of = np.empty(n, dtype=int)
-    fold_of[perm] = np.arange(n) % CV_FOLDS
-
-    best = None
-    for c_neg in C_NEGATIVE_GRID:
-        cfg = SvmConfig(
-            c_positive=min(base_config.c_positive, c_neg),
-            c_negative=c_neg,
-            tolerance=base_config.tolerance,
-            max_passes=base_config.max_passes,
-            rng_seed=base_config.rng_seed,
-        )
-        fps, accs = [], []
-        for f in range(CV_FOLDS):
-            tr, va = fold_of != f, fold_of == f
-            if not (np.any(y[tr] > 0) and np.any(y[tr] < 0)) or not np.any(va):
-                continue
-            std = fit_standardizer(x[tr])
-            hs, _ = train_svm(std.transform(x[tr]), y[tr], cfg, feature_names)
-            hp = unscale_hyperplane(hs, std)
-            cm = evaluate(hp, x[va], y[va])
-            fps.append(cm.false_positive_rate)
-            accs.append(cm.accuracy)
-        score = (float(np.mean(fps)), -float(np.mean(accs)))
-        if best is None or score < best[0]:
-            best = (score, cfg)
-
-    cfg = best[1]
-    std = fit_standardizer(x)
-    hs, report = train_svm(std.transform(x), y, cfg, feature_names)
-    hp = unscale_hyperplane(hs, std)
-    return hp, std, report, cfg.c_negative
 
 
 # ---------------------------------------------------------------------------

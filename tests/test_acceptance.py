@@ -232,7 +232,7 @@ def test_criterion_6_desk_scale_classification(trained):
     ok = True
     for name in ("sixbus", "grid24"):
         case, ds, hp, rep = trained[name]
-        assert len(ds.samples) >= 1000
+        assert len(ds) >= 1000
         xte, yte = ds.test
         cm = evaluate(hp, xte, yte)
         parts.append(f"{name}: acc {100 * cm.accuracy:.2f}% "

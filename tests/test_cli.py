@@ -4,7 +4,7 @@ import pytest
 from ucsm import cli
 from ucsm.grid import bundled_case_text, load_bundled_case
 from ucsm.scenarios import dataset_from_csv, generate_dataset
-from ucsm.svm import model_from_text
+from ucsm.svm import SvmConfig, model_from_text
 
 
 @pytest.fixture(scope="module")
@@ -27,8 +27,8 @@ def model_file(tmp_path_factory, data_file):
 
 def test_gen_data_writes_parseable_csv(data_file):
     ds = dataset_from_csv(data_file.read_text())
-    assert len(ds.samples) >= 200
-    x, y = ds.matrix()
+    assert len(ds) >= 200
+    x, y = ds.x, ds.y
     assert set(np.unique(y)) <= {-1, 1}
 
 
@@ -239,6 +239,60 @@ def test_config_count_below_bound_exit_2(tmp_path, capsys):
         cli.main(["--config", str(cfg), "solve", "--case", "sixbus"])
     assert exc.value.code == cli.EXIT_INPUT
     assert "argument --horizon: must be >= 1, got 0" in capsys.readouterr().err
+
+
+def test_train_defaults_are_svm_config_defaults():
+    parser, _ = cli.build_parser()
+    args = parser.parse_args(["train", "--data", "d.csv", "--out", "m.model"])
+    assert SvmConfig(c_negative=args.cneg_ratio, tolerance=args.tolerance,
+                     max_passes=args.max_passes,
+                     rng_seed=args.seed) == SvmConfig()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tolerance", "0"),
+    ("--tolerance", "-1"),
+    ("--cneg-ratio", "0.5"),  # below c_positive = 1
+    ("--max-passes", "0"),
+])
+def test_train_flag_out_of_range_exit_2(data_file, tmp_path, capsys, flag,
+                                        value):
+    out = tmp_path / "m.model"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train", "--data", str(data_file), "--out", str(out),
+                  flag, value])
+    assert exc.value.code == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be " in err and f", got {value}" in err
+    assert not out.exists()
+
+
+def test_config_tolerance_out_of_range_exit_2(data_file, tmp_path, capsys):
+    cfg = tmp_path / "ucsm.cfg"
+    cfg.write_text("tolerance = 0\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(cfg), "train", "--data", str(data_file),
+                  "--out", str(tmp_path / "m.model")])
+    assert exc.value.code == cli.EXIT_INPUT
+    assert "argument --tolerance: must be > 0, got 0" in capsys.readouterr().err
+
+
+def test_directory_as_case_exit_2(tmp_path, capsys):
+    rc = cli.main(["gen-data", "--case", str(tmp_path),
+                   "--out", str(tmp_path / "o.csv")])
+    assert rc == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_undecodable_data_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xff\xfe\x00label\n")
+    rc = cli.main(["train", "--data", str(bad),
+                   "--out", str(tmp_path / "m.model")])
+    assert rc == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("key, value", [

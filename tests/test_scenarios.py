@@ -27,7 +27,7 @@ def test_wind_realization_clamped_at_zero():
 
 def test_generate_dataset_counts_and_labels(sixbus):
     ds = generate_dataset(sixbus, 200, rng_seed=3)
-    assert len(ds.samples) >= 200
+    assert len(ds) >= 200
     n_pos, n_neg = ds.class_counts()
     assert n_pos > 0 and n_neg > 0
     assert min(n_pos, n_neg) / max(n_pos, n_neg) >= BALANCE_RATIO - 1e-9
@@ -36,14 +36,14 @@ def test_generate_dataset_counts_and_labels(sixbus):
 def test_feature_vector_layout(sixbus):
     ds = generate_dataset(sixbus, 100, rng_seed=0)
     assert ds.feature_names == sixbus.feature_names()
-    x, y = ds.matrix()
-    assert x.shape == (len(ds.samples), len(ds.feature_names))
+    x, y = ds.x, ds.y
+    assert x.shape == (len(ds), len(ds.feature_names))
     assert set(np.unique(y)) <= {-1, 1}
 
 
 def test_split_fractions(sixbus):
     ds = generate_dataset(sixbus, 200, rng_seed=1)
-    n = len(ds.samples)
+    n = len(ds)
     assert len(ds.train_indices) == int(round(TRAIN_FRACTION * n))
     assert len(ds.train_indices) + len(ds.test_indices) == n
     assert not set(ds.train_indices) & set(ds.test_indices)
@@ -52,8 +52,8 @@ def test_split_fractions(sixbus):
 def test_determinism(sixbus):
     a = generate_dataset(sixbus, 150, rng_seed=9)
     b = generate_dataset(sixbus, 150, rng_seed=9)
-    xa, ya = a.matrix()
-    xb, yb = b.matrix()
+    xa, ya = a.x, a.y
+    xb, yb = b.x, b.y
     np.testing.assert_array_equal(xa, xb)
     np.testing.assert_array_equal(ya, yb)
     assert dataset_to_csv(a) == dataset_to_csv(b)
@@ -69,8 +69,8 @@ def test_csv_round_trip(sixbus):
     ds = generate_dataset(sixbus, 120, rng_seed=4)
     text = dataset_to_csv(ds)
     back = dataset_from_csv(text)
-    xa, ya = ds.matrix()
-    xb, yb = back.matrix()
+    xa, ya = ds.x, ds.y
+    xb, yb = back.x, back.y
     np.testing.assert_array_equal(xa, xb)
     np.testing.assert_array_equal(ya, yb)
     assert back.split_seed == ds.split_seed

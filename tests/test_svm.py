@@ -3,8 +3,8 @@ import pytest
 
 from ucsm.errors import DimensionMismatch, FeatureMismatch, SingleClassData
 from ucsm.svm import (ConfusionMatrix, SvmConfig, compute_margin, evaluate,
-                      fit_standardizer, grid_search_train, model_from_text,
-                      model_to_text, train_svm, unscale_hyperplane)
+                      fit_standardizer, model_from_text, model_to_text,
+                      train_svm, unscale_hyperplane)
 
 
 def test_two_point_toy_recovers_unit_hyperplane():
@@ -114,6 +114,8 @@ def test_invalid_config_rejected():
         SvmConfig(c_positive=2.0, c_negative=1.0)
     with pytest.raises(ValueError):
         SvmConfig(tolerance=0.0)
+    with pytest.raises(ValueError):
+        SvmConfig(max_passes=0)
 
 
 def test_model_text_round_trip(rng):
@@ -137,14 +139,3 @@ def test_model_text_round_trip(rng):
 def test_model_from_text_missing_field():
     with pytest.raises(FeatureMismatch):
         model_from_text("w_scaled=1.0\nb_scaled=0.0\n")
-
-
-def test_grid_search_prefers_low_false_positive(rng):
-    x = rng.normal(size=(150, 2))
-    y = np.where(x[:, 0] + 0.4 * rng.normal(size=150) > 0, 1.0, -1.0)
-    hp, std, rep, c_neg = grid_search_train(
-        x, y, ("a", "b"),
-        base_config=SvmConfig(tolerance=1e-4, max_passes=200))
-    assert c_neg in (1.0, 5.0, 10.0, 50.0, 100.0)
-    cm = evaluate(hp, x, y)
-    assert cm.accuracy > 0.5
