@@ -36,24 +36,32 @@ EXIT_MISMATCH = 4
 BUNDLED = ("ring3", "sixbus", "grid24")
 
 
+def _read_text(path: str, what: str) -> str:
+    """An input file's text; a missing or undecodable file is an input
+    error whose message names it."""
+    p = Path(path)
+    if not p.exists():
+        raise FileNotFoundError(f"{what} file not found: {path}")
+    try:
+        return p.read_text()
+    except UnicodeDecodeError as exc:
+        line = exc.object[:exc.start].count(b"\n") + 1
+        raise ParseError(line, f"{what} file {path} is not UTF-8 text "
+                               f"({exc.reason})") from exc
+
+
 def _load_case(spec: str) -> SystemCase:
     if spec in BUNDLED:
         return load_bundled_case(spec)
-    path = Path(spec)
-    if not path.exists():
-        raise FileNotFoundError(f"case file not found: {spec}")
-    return parse_case(path.read_text(), name=path.stem)
+    return parse_case(_read_text(spec, "case"), name=Path(spec).stem)
 
 
 def _read_config(path: str | None) -> dict:
     cfg_path = path or os.environ.get("UCSM_CONFIG")
     if not cfg_path:
         return {}
-    p = Path(cfg_path)
-    if not p.exists():
-        raise FileNotFoundError(f"config file not found: {cfg_path}")
     out = {}
-    for line in p.read_text().splitlines():
+    for line in _read_text(cfg_path, "config").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -90,8 +98,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    text = Path(args.data).read_text()
-    ds = sc.dataset_from_csv(text)
+    ds = sc.dataset_from_csv(_read_text(args.data, "data"))
     xtr, ytr = ds.train
     xte, yte = ds.test
     std = sv.fit_standardizer(xtr)
@@ -142,7 +149,7 @@ def cmd_solve(args) -> int:
         if not args.model:
             print("error: --mode surrogate requires --model", file=sys.stderr)
             return EXIT_INPUT
-        hp, _, _, _ = sv.model_from_text(Path(args.model).read_text())
+        hp, _, _, _ = sv.model_from_text(_read_text(args.model, "model"))
     scens = sc.build_scenarios(case, args.scenarios, args.horizon, args.seed)
     inst = TsucInstance(case, scens, args.horizon, mode, hyperplane=hp,
                         pwl_segments=args.segments)
@@ -375,7 +382,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     s.add_argument("--scenarios", type=_number(1), default=3)
     s.add_argument("--horizon", type=_number(1), default=6)
     s.add_argument("--segments", type=_number(1), default=4)
-    s.add_argument("--gap-tol", type=float, default=1e-6)
+    s.add_argument("--gap-tol", type=_number(0.0, float), default=1e-6)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out")
     s.set_defaults(func=cmd_solve)
@@ -388,7 +395,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     b.add_argument("--scenarios", type=_number(1), default=3)
     b.add_argument("--horizon", type=_number(1), default=6)
     b.add_argument("--segments", type=_number(1), default=4)
-    b.add_argument("--gap-tol", type=float, default=1e-6)
+    b.add_argument("--gap-tol", type=_number(0.0, float), default=1e-6)
     b.add_argument("--repeats", type=_number(1), default=3)
     b.add_argument("--out")
     b.set_defaults(func=cmd_bench)
@@ -422,8 +429,7 @@ def main(argv=None) -> int:
                     sub.error(f"config value {act.dest} = {own[act.dest]!r}: "
                               f"choose from {', '.join(act.choices)}")
         return args.func(args)
-    except (OSError, UnicodeDecodeError, ParseError, ValidationError,
-            DimensionMismatch) as exc:
+    except (OSError, ParseError, ValidationError, DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (SingleClassData, BalancingFailed) as exc:

@@ -43,6 +43,18 @@ class FeasibilityLabel:
     violating_lines: list[int]
 
 
+def dispatch_problem(slopes, widths, on, net, coef, rhs) -> LpProblem:
+    """Segment LP over T hours: columns delta[(t*G + g)*K + k] of the (G, K)
+    PWL curves, closed where the (T, G) ``on`` is 0. Hour t's segments sum
+    to ``net[t]``; coef (R, T*G) @ the hour-major unit output <= rhs (R,)."""
+    T, (G, K) = len(net), slopes.shape
+    return LpProblem(
+        c=np.tile(slopes.ravel(), T),
+        a_eq=np.repeat(np.eye(T), G * K, axis=1), b_eq=net,
+        a_le=np.repeat(coef, K, axis=1), b_le=rhs, lo=np.zeros(T * G * K),
+        hi=np.tile(widths.ravel(), T) * np.repeat(np.ravel(on), K))
+
+
 def solve_dcopf(
     case: SystemCase,
     wind_mw: np.ndarray,
@@ -70,22 +82,16 @@ def solve_dcopf(
     if mats is None:
         mats = build_matrices(case)
     curves = [pwl_cost(g, SEGMENTS) for g in case.generators]
-    hi = np.concatenate([c.widths for c in curves])
     pmin = np.array([g.p_min for g in case.generators])
 
-    a_le, b_le = np.zeros((0, hi.size)), np.zeros(0)
-    if enforce_limits and case.n_lines:
-        gen_cols = np.repeat(mats.ptdf[:, mats.gen_bus], SEGMENTS, axis=1)
+    coef, rhs = np.zeros((0, case.n_gens)), np.zeros(0)
+    if enforce_limits:
         base_flow = mats.ptdf @ mats.injection(load_mw, wind_mw, pmin)
-        limits = case.line_limits
-        a_le = np.vstack([gen_cols, -gen_cols])
-        b_le = np.concatenate([limits - base_flow, limits + base_flow])
-
-    sol = solve_lp(LpProblem(
-        c=np.concatenate([c.slopes for c in curves]),
-        a_eq=np.ones((1, hi.size)),
-        b_eq=np.array([load_mw.sum() - wind_mw.sum() - pmin.sum()]),
-        a_le=a_le, b_le=b_le, lo=np.zeros(hi.size), hi=hi))
+        coef, rhs = mats.flow_rows(case.line_limits, base_flow)
+    sol = solve_lp(dispatch_problem(
+        np.array([c.slopes for c in curves]),
+        np.array([c.widths for c in curves]), np.ones((1, case.n_gens)),
+        np.array([load_mw.sum() - wind_mw.sum() - pmin.sum()]), coef, rhs))
     if sol.status is not LpStatus.OPTIMAL:
         empty = np.zeros(0)
         return DcopfResult(DcopfStatus.INFEASIBLE, empty, empty, empty, np.inf)

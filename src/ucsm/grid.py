@@ -212,6 +212,13 @@ class GridMatrices:
             np.add.at(inj, self.gen_bus, gen_mw)
         return inj
 
+    def flow_rows(self, limits, base_mw) -> tuple[np.ndarray, np.ndarray]:
+        """Line limits as rows coef @ gen_mw <= rhs, +flow then -flow;
+        ``base_mw`` (L, ...) is the flow of all other injections."""
+        gen = self.ptdf[:, self.gen_bus]
+        return (np.concatenate([gen, -gen]),
+                np.concatenate([limits - base_mw, limits + base_mw]))
+
     def angles(self, injection_mw: np.ndarray, base_mva: float) -> np.ndarray:
         """Bus voltage angles (rad) for a balanced MW injection vector, or
         for each column of an (N, k) matrix of them."""

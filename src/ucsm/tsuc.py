@@ -22,6 +22,7 @@ from enum import Enum
 
 import numpy as np
 
+from .dcopf import dispatch_problem
 from .errors import FeatureMismatch, TooLarge
 from .grid import GridMatrices, SystemCase, build_matrices
 from .pwl import PwlCost, pwl_cost
@@ -174,7 +175,6 @@ class _Milp:
 
         self.pmin = np.array([g.p_min for g in case.generators])
         self.pmax = np.array([g.p_max for g in case.generators])
-        self.pmin_tg = np.tile(self.pmin, T)  # per hour-major dispatch entry
         self.widths = np.array([c.widths for c in self.curves])  # (G, K)
         self.slopes = np.array([c.slopes for c in self.curves])  # (G, K)
 
@@ -277,52 +277,41 @@ class _Milp:
         """
         inst, case = self.inst, self.inst.case
         G, S, T = self.G, self.S, self.T
-        coef, rhs, tol = [], [], []
-
-        def add(c, b, eps):
-            coef.append(c.ravel())
-            rhs.append(np.broadcast_to(b, (S,)))
-            tol.append(eps)
-
-        # Ramps: p_t - p_{t-1} <= RU; p_{t-1} - p_t <= RD.
-        for sign in (1.0, -1.0):
-            for g, gen in enumerate(case.generators):
-                limit = gen.ramp_up if sign > 0 else gen.ramp_down
-                for t in range(1, T):
-                    c = np.zeros((T, G))
-                    c[t, g], c[t - 1, g] = sign, -sign
-                    add(c, float(limit), FLOW_TOL_MW)
+        # Ramps per (g, t >= 1): p_t - p_{t-1} <= RU, then p_{t-1} - p_t <= RD.
+        unit = np.eye(T * G).reshape(T, G, T * G).transpose(1, 0, 2)
+        up, down = unit[:, 1:], unit[:, :-1]
+        ramp_mw = np.repeat(np.array(
+            [(g.ramp_up, g.ramp_down) for g in case.generators]).T, T - 1)
 
         if inst.mode is TsucMode.FULL_NETWORK:
-            # sign * flow <= limit, flow = PTDF (wind - load + gen injections).
+            # flow = PTDF (wind - load + gen injections) within +-limit.
             base = np.einsum("lb,bst->lst", self.mats.ptdf, self.inj)
-            gcoef = self.mats.ptdf[:, self.mats.gen_bus]  # (L, G)
-            for sign in (1.0, -1.0):
-                for li, limit in enumerate(case.line_limits):
-                    for t in range(T):
-                        c = np.zeros((T, G))
-                        c[t] = sign * gcoef[li]
-                        add(c, limit - sign * base[li, :, t], FLOW_TOL_MW)
+            block, rhs = self.mats.flow_rows(case.line_limits[:, None, None],
+                                             base)
+            tol = FLOW_TOL_MW
         else:
             # Learned halfspace w @ [mu, sigma, p_t] + b >= 0, written as
             # -w_p @ p_t <= const + SURROGATE_TOL.
-            h = inst.hyperplane
-            W = case.n_wind
-            w_p = h.weights_physical[2 * W:]
+            h, W = inst.hyperplane, case.n_wind
             const = np.array([
                 float(h.weights_physical[:W] @ scen.mu
                       + h.weights_physical[W:2 * W] @ scen.sigma
                       + h.bias_physical)
                 for scen in inst.scenarios
             ])
-            for t in range(T):
-                c = np.zeros((T, G))
-                c[t] = -w_p
-                add(c, const + SURROGATE_TOL, 0.0)
-
-        self.row_coef = np.array(coef).reshape(-1, T * G)
-        self.row_rhs = np.array(rhs).reshape(-1, S).T  # (S, R)
-        self.row_tol = np.array(tol)
+            block = -h.weights_physical[None, 2 * W:]
+            rhs = np.broadcast_to(const[:, None] + SURROGATE_TOL, (1, S, T))
+            tol = 0.0
+        # Block row r acts on one hour t at a time: table rows (r, t).
+        R = block.shape[0]
+        hourly = np.zeros((R, T, T, G))
+        hourly[:, np.arange(T), np.arange(T)] = block[:, None]
+        self.row_coef = np.concatenate([
+            np.concatenate([up - down, down - up]).reshape(-1, T * G),
+            hourly.reshape(R * T, T * G)])
+        self.row_rhs = np.hstack([np.broadcast_to(ramp_mw, (S, ramp_mw.size)),
+                                  rhs.transpose(1, 0, 2).reshape(S, R * T)])
+        self.row_tol = np.repeat([FLOW_TOL_MW, tol], [ramp_mw.size, R * T])
 
     # -- lazy families -----------------------------------------------------
 
@@ -530,6 +519,8 @@ def solve_tsuc(
     generator index); that order is the u column order, so the lowest column
     index wins ties.
     """
+    if not gap_tol >= 0:
+        raise ValueError(f"gap_tol must be >= 0, got {gap_tol}")
     t_start = time.perf_counter()
     stats = SolveStats()
     milp = build_milp(inst, mats)
@@ -594,18 +585,12 @@ def _dispatch_lp(
     applies, with the committed minimum output pmin*u on the right.
     """
     G, T, K = milp.G, milp.T, milp.K
-    ut = u.T.ravel()  # hour-major, like the table
-    base_p = milp.pmin_tg * ut
-    lp = LpProblem(
-        c=np.tile(milp.slopes.ravel(), T),
-        a_eq=np.repeat(np.eye(T), G * K, axis=1),
-        b_eq=(milp.load_total[s] - milp.wind_total[s]
-              - base_p.reshape(T, G).sum(axis=1)),
-        a_le=np.repeat(milp.row_coef, K, axis=1),
-        b_le=milp.row_rhs[s] - milp.row_coef @ base_p,
-        lo=np.zeros(T * G * K),
-        hi=np.tile(milp.widths.ravel(), T) * np.repeat(ut, K))
-    sol = solve_lp(lp)
+    base_p = (u.T * milp.pmin).ravel()  # hour-major, like the table
+    sol = solve_lp(dispatch_problem(
+        milp.slopes, milp.widths, u.T,
+        (milp.load_total[s] - milp.wind_total[s]
+         - base_p.reshape(T, G).sum(axis=1)),
+        milp.row_coef, milp.row_rhs[s] - milp.row_coef @ base_p))
     if sol.status is not LpStatus.OPTIMAL:
         return False, np.inf, None
     p = base_p + sol.x.reshape(T * G, K).sum(axis=1)

@@ -223,6 +223,10 @@ def test_case_without_generators_exit_2(tmp_path, capsys, command):
     ["solve", "--scenarios", "0"],
     ["solve", "--segments", "0"],
     ["gen-data", "--samples", "10"],
+    ["solve", "--gap-tol", "nan"],
+    ["solve", "--gap-tol", "-0.5"],
+    ["bench", "--gap-tol", "nan"],
+    ["bench", "--gap-tol", "-0.5"],
 ])
 def test_count_below_bound_exit_2(tmp_path, capsys, command):
     with pytest.raises(SystemExit) as exc:
@@ -285,14 +289,24 @@ def test_directory_as_case_exit_2(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_undecodable_data_exit_2(tmp_path, capsys):
-    bad = tmp_path / "bad.csv"
+@pytest.mark.parametrize("flag", ["--data", "--case", "--model", "--config"])
+def test_undecodable_data_exit_2(tmp_path, capsys, flag):
+    """A non-UTF-8 input file exits 2 with one line that names it."""
+    bad = tmp_path / "bad.txt"
     bad.write_bytes(b"\xff\xfe\x00label\n")
-    rc = cli.main(["train", "--data", str(bad),
-                   "--out", str(tmp_path / "m.model")])
+    argv = {
+        "--data": ["train", "--data", str(bad),
+                   "--out", str(tmp_path / "m.model")],
+        "--case": ["solve", "--case", str(bad)],
+        "--model": ["solve", "--case", "sixbus", "--mode", "surrogate",
+                    "--model", str(bad)],
+        "--config": ["--config", str(bad), "solve", "--case", "sixbus"],
+    }[flag]
+    rc = cli.main(argv)
     assert rc == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(bad) in err
 
 
 @pytest.mark.parametrize("key, value", [

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from ucsm.dcopf import DcopfStatus, check_feasibility, solve_dcopf
+from ucsm.dcopf import SEGMENTS, DcopfStatus, check_feasibility, solve_dcopf
 from ucsm.errors import DimensionMismatch
 from ucsm.grid import build_matrices
+from ucsm.scenarios import build_scenarios
+from ucsm.tsuc import TsucInstance, TsucMode, _dispatch_lp, build_milp
 
 
 def test_wind_length_mismatch(tiny_case):
@@ -93,3 +95,28 @@ def test_check_feasibility_labels(tiny_case):
 def test_check_feasibility_dimension(tiny_case):
     with pytest.raises(DimensionMismatch):
         check_feasibility(tiny_case, np.zeros(5))
+
+
+def test_matches_tsuc_dispatch_lp(sixbus, grid24):
+    """A constrained DCOPF is the TSUC's dispatch LP for one hour, one
+    scenario and every unit on, at the DCOPF's segment count."""
+    solved = 0
+    for case in (sixbus, grid24):
+        for seed in range(40):
+            scen = build_scenarios(case, 1, 1, seed)
+            milp = build_milp(TsucInstance(case, scen, 1, TsucMode.FULL_NETWORK,
+                                           pwl_segments=SEGMENTS))
+            feasible, cost, p = _dispatch_lp(
+                milp, np.ones((case.n_gens, 1), dtype=int), 0)
+            res = solve_dcopf(case, scen[0].wind_mw[:, 0],
+                              scen[0].loads(case)[:, 0])
+            assert feasible is (res.status is DcopfStatus.OPTIMAL)
+            if not feasible:
+                continue
+            solved += 1
+            fixed = sum(g.c0 + cv.base_value
+                        for g, cv in zip(case.generators, milp.curves))
+            assert cost + fixed == pytest.approx(res.objective, rel=1e-12)
+            np.testing.assert_allclose(p[:, 0], res.dispatch, rtol=1e-12,
+                                       atol=1e-9)
+    assert solved

@@ -6,9 +6,10 @@ from ucsm.grid import build_matrices
 from ucsm.scenarios import build_scenarios, feature_vector
 from ucsm.simplex import LpStatus, solve_lp
 from ucsm.svm import Hyperplane
-from ucsm.tsuc import (FLOW_TOL_MW, TsucInstance, TsucMode, TsucStatus,
-                       brute_force_tsuc, build_milp, constraint_counts,
-                       minimal_transitions, schedule_is_logical, solve_tsuc)
+from ucsm.tsuc import (FLOW_TOL_MW, SURROGATE_TOL, TsucInstance, TsucMode,
+                       TsucStatus, brute_force_tsuc, build_milp,
+                       constraint_counts, minimal_transitions,
+                       schedule_is_logical, solve_tsuc)
 from tests.conftest import make_tiny_case
 
 
@@ -208,6 +209,15 @@ def test_instance_rejects_bad_initial_status(sixbus, u0):
                      initial_status=u0)
 
 
+@pytest.mark.parametrize("gap_tol", [float("nan"), -0.5])
+def test_solve_rejects_bad_gap_tol(tiny_case, gap_tol):
+    """A NaN or negative gap would stop the search early or late."""
+    scens = build_scenarios(tiny_case, 1, 2, 0)
+    inst = TsucInstance(tiny_case, scens, 2, TsucMode.FULL_NETWORK)
+    with pytest.raises(ValueError, match="gap_tol"):
+        solve_tsuc(inst, gap_tol=gap_tol)
+
+
 def test_surrogate_feature_mismatch(tiny_case, sixbus):
     scens = build_scenarios(tiny_case, 1, 2, 0)
     wrong = make_hyperplane(sixbus)
@@ -381,6 +391,44 @@ def _reference_rows(milp, x):
     ref.update(a_le=np.array(a_le), b_le=np.array(b_le),
                a_eq=np.array(a_eq), b_eq=np.array(b_eq))
 
+    # Dispatch table over p_s[t*G + g]: ramps per (sign, g, t >= 1), then
+    # flows per (sign, line, t) or the halfspace per t.
+    coef, rhs, tol = [], [], []
+
+    def add(c, b, eps):
+        coef.append(c.ravel())
+        rhs.append(np.broadcast_to(b, (S,)))
+        tol.append(eps)
+
+    for sign in (1.0, -1.0):
+        for g, gen in enumerate(case.generators):
+            limit = gen.ramp_up if sign > 0 else gen.ramp_down
+            for t in range(1, T):
+                c = np.zeros((T, G))
+                c[t, g], c[t - 1, g] = sign, -sign
+                add(c, float(limit), FLOW_TOL_MW)
+    if inst.mode is TsucMode.FULL_NETWORK:
+        base = np.einsum("lb,bst->lst", milp.mats.ptdf, milp.inj)
+        gcoef = milp.mats.ptdf[:, milp.mats.gen_bus]
+        for sign in (1.0, -1.0):
+            for li, limit in enumerate(case.line_limits):
+                for t in range(T):
+                    c = np.zeros((T, G))
+                    c[t] = sign * gcoef[li]
+                    add(c, limit - sign * base[li, :, t], FLOW_TOL_MW)
+    else:
+        h, W = inst.hyperplane, case.n_wind
+        const = np.array([float(h.weights_physical[:W] @ scen.mu
+                                + h.weights_physical[W:2 * W] @ scen.sigma
+                                + h.bias_physical)
+                          for scen in inst.scenarios])
+        for t in range(T):
+            c = np.zeros((T, G))
+            c[t] = -h.weights_physical[2 * W:]
+            add(c, const + SURROGATE_TOL, 0.0)
+    ref.update(row_coef=np.array(coef).reshape(-1, T * G),
+               row_rhs=np.array(rhs).reshape(-1, S).T, row_tol=np.array(tol))
+
     # Rows pooled for x: capacity per (g, s, t), then table rows per (s, r).
     p = np.zeros((S, n_u))
     for g in range(G):
@@ -401,10 +449,10 @@ def _reference_rows(milp, x):
                     pool_a.append(row)
                     pool_b.append(0.0)
     n_cap = len(pool_b)
-    viol = p @ milp.row_coef.T - milp.row_rhs > milp.row_tol
+    viol = p @ ref["row_coef"].T - ref["row_rhs"] > ref["row_tol"]
     for s, r in zip(*np.nonzero(viol)):
-        pool_a.append(p_row(milp.row_coef[r], s))
-        pool_b.append(milp.row_rhs[s, r])
+        pool_a.append(p_row(ref["row_coef"][r], s))
+        pool_b.append(ref["row_rhs"][s, r])
     ref["pool_a"] = np.array(pool_a).reshape(-1, ncols)
     ref["pool_b"] = np.array(pool_b)
     ref["dispatch"] = p.reshape(S, T, G).transpose(2, 0, 1)
@@ -412,9 +460,10 @@ def _reference_rows(milp, x):
 
 
 def test_milp_matches_row_rules(grid24, sixbus):
-    """Every array the MILP hands the simplex, and the rows it pools for the
-    root LP's x, equal the per-row construction byte for byte, row order and
-    the -0.0 right-hand sides of the t = 0 shut-down rows included."""
+    """Every array the MILP hands the simplex, its dispatch table, and the
+    rows it pools for the root LP's x, equal the per-row construction byte
+    for byte, row order and the -0.0 right-hand sides of the t = 0 shut-down
+    rows included."""
     tiny = make_tiny_case(line_limit=40.0)
     cap = make_hyperplane(tiny, w_p=np.array([-1.0, 0.0]), bias=40.0)
     cases = [
@@ -432,7 +481,8 @@ def test_milp_matches_row_rules(grid24, sixbus):
         sol = solve_lp(milp.lp_problem(()))
         assert sol.status is LpStatus.OPTIMAL
         ref, n_cap = _reference_rows(milp, sol.x)
-        for name in ("c", "lo", "hi", "a_eq", "b_eq", "a_le", "b_le"):
+        for name in ("c", "lo", "hi", "a_eq", "b_eq", "a_le", "b_le",
+                     "row_coef", "row_rhs", "row_tol"):
             assert getattr(milp, name).tobytes() == ref[name].tobytes(), name
         # Each t = 0 shut-down row reads -u0 on the right: -0.0 when off.
         assert np.signbit(milp.b_le[1:2 * milp.n_u:2 * T]).all()
