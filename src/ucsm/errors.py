@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number reader every
+input parser uses."""
+
+import math
+
+
+def finite_float(text: str) -> float:
+    """float(text) for a finite number; ValueError for nan, inf or text
+    float() refuses, which the input parsers report as a ParseError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
 
 
 class UcsmError(Exception):

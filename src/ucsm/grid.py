@@ -14,7 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, finite_float
 from .linalg import lu_factor, lu_backsolve
 
 
@@ -266,7 +266,7 @@ _SECTIONS = ("config", "buses", "lines", "generators", "wind")
 
 def parse_case(text: str, name: str = "") -> SystemCase:
     """Parse the line-oriented case format into a validated SystemCase."""
-    config: dict[str, float] = {}
+    config: dict[str, tuple[int, float]] = {}  # key -> (line, value)
     buses: list[Bus] = []
     lines: list[Line] = []
     gens: list[Generator] = []
@@ -289,30 +289,33 @@ def parse_case(text: str, name: str = "") -> SystemCase:
                 raise ParseError(lineno, "expected key = value")
             key, _, val = stripped.partition("=")
             try:
-                config[key.strip()] = float(val)
+                config[key.strip()] = lineno, finite_float(val)
             except ValueError:
                 raise ParseError(lineno, f"bad numeric value {val.strip()!r}") from None
             continue
         fields = [f.strip() for f in stripped.split(",")]
         try:
-            vals = [float(f) for f in fields]
+            vals = [finite_float(f) for f in fields]
         except ValueError:
-            raise ParseError(lineno, f"non-numeric field in {stripped!r}") from None
+            raise ParseError(lineno, "a field is not a finite number in "
+                                     f"{stripped!r}") from None
         try:
             if section == "buses":
                 _expect(lineno, vals, 2)
-                buses.append(Bus(int(vals[0]), vals[1]))
+                buses.append(Bus(_whole(lineno, vals[0]), vals[1]))
             elif section == "lines":
                 _expect(lineno, vals, 4)
-                lines.append(Line(int(vals[0]), int(vals[1]), vals[2], vals[3]))
+                lines.append(Line(_whole(lineno, vals[0]),
+                                  _whole(lineno, vals[1]), vals[2], vals[3]))
             elif section == "generators":
                 _expect(lineno, vals, 12)
-                gens.append(Generator(int(vals[0]), vals[1], vals[2], vals[3],
-                                      vals[4], int(vals[5]), int(vals[6]),
-                                      vals[7], vals[8], vals[9], vals[10], vals[11]))
+                gens.append(Generator(_whole(lineno, vals[0]), vals[1], vals[2],
+                                      vals[3], vals[4], _whole(lineno, vals[5]),
+                                      _whole(lineno, vals[6]), vals[7], vals[8],
+                                      vals[9], vals[10], vals[11]))
             elif section == "wind":
                 _expect(lineno, vals, 5)
-                wind.append(WindUnit(int(vals[0]), (vals[1], vals[2]),
+                wind.append(WindUnit(_whole(lineno, vals[0]), (vals[1], vals[2]),
                                      (vals[3], vals[4])))
         except ValidationError as exc:
             raise ParseError(lineno, str(exc)) from None
@@ -324,8 +327,8 @@ def parse_case(text: str, name: str = "") -> SystemCase:
         lines=tuple(lines),
         generators=tuple(gens),
         wind_units=tuple(wind),
-        ref_bus=int(config["ref_bus"]),
-        base_mva=float(config.get("base_mva", 100.0)),
+        ref_bus=_whole(*config["ref_bus"]),
+        base_mva=config.get("base_mva", (0, 100.0))[1],
         name=name,
     )
 
@@ -333,6 +336,13 @@ def parse_case(text: str, name: str = "") -> SystemCase:
 def _expect(lineno: int, vals: list, n: int):
     if len(vals) != n:
         raise ParseError(lineno, f"expected {n} fields, got {len(vals)}")
+
+
+def _whole(lineno: int, value: float) -> int:
+    """A field that names a bus or counts hours must be a whole number."""
+    if not value.is_integer():
+        raise ParseError(lineno, f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def bundled_case_text(name: str) -> str:

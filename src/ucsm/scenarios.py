@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dcopf import DcopfStatus, check_feasibility, solve_dcopf
-from .errors import BalancingFailed, DimensionMismatch, ParseError
+from .errors import (BalancingFailed, DimensionMismatch, ParseError,
+                     finite_float)
 from .grid import GridMatrices, SystemCase, build_matrices
 
 Z_MIN, Z_MAX, Z_STEP = -4.0, 4.0, 0.1
@@ -250,10 +251,11 @@ def dataset_from_csv(text: str) -> Dataset:
                 f"row has {len(parts)} columns, header has {len(header)}"
             )
         try:
-            features = [float(v) for v in parts[:-1]]
+            features = [finite_float(v) for v in parts[:-1]]
             label = float(parts[-1])
         except ValueError:
-            raise ParseError(lineno, f"non-numeric field in {line!r}") from None
+            raise ParseError(lineno, "a field is not a finite number in "
+                                     f"{line!r}") from None
         if label not in (1.0, -1.0):
             raise ParseError(lineno, "label must be +1 or -1, got "
                                      f"{parts[-1].strip()!r}")

@@ -1,17 +1,26 @@
 """Bounded-variable revised simplex solver: two-phase primal for cold
 starts, bounded dual simplex for warm starts.
 
-Dense implementation with an explicitly maintained basis inverse (rank-1
-eta updates, periodic refactorization by ``np.linalg.inv``). An eta update
+The basis inverse is held dense and explicitly (rank-1 eta updates,
+periodic refactorization by ``np.linalg.inv``), and so is A. An eta update
 writes only the block where its rank-one term is nonzero: the rows where
-B^-1 a_j is nonzero by the columns where the pivot row of B^-1 is. A cold
-solve runs phase 1 from a crash basis of slacks and artificials, then
-phase 2, in which an artificial phase 1 left basic stays pinned at zero. A
-warm solve factors the given basis, reoptimizes it with the dual simplex
-(which needs a dual feasible basis, as an optimal one stays after rows are
-appended or bounds tightened) and finishes with phase 2 as cleanup. Both
-use a Dantzig-style rule and fall back to Bland's rule after 2*(m+n)
-iterations to guarantee termination on cycling instances.
+B^-1 a_j is nonzero by the columns where the pivot row of B^-1 is.
+
+Pricing, the product of a dual vector or a row of B^-1 with every column,
+has two kernels, chosen once per problem by A's density: the BLAS product
+``v @ A`` for a dense A, and for a sparse one (at most
+SPARSE_PRICING_DENSITY nonzero, as in a TSUC node LP, whose PTDF rows are
+98-99.5% zeros) a gather over A's nonzeros summed per column by
+``np.bincount``. Only the reduced costs' last bits depend on the kernel:
+FTRAN, refactorization and the right-hand side use the dense A either way.
+
+A cold solve runs phase 1 from a crash basis of slacks and artificials,
+then phase 2, in which an artificial phase 1 left basic stays pinned at
+zero. A warm solve factors the given basis, reoptimizes it with the dual
+simplex (which needs a dual feasible basis, as an optimal one stays after
+rows are appended or bounds tightened) and finishes with phase 2 as
+cleanup. Both use a Dantzig-style rule and fall back to Bland's rule after
+2*(m+n) iterations to guarantee termination on cycling instances.
 
 Bounds with magnitude >= INF_BOUND are treated as unbounded.
 """
@@ -31,6 +40,11 @@ OPT_TOL = 1e-9     # reduced-cost tolerance, relative to the cost scale
 FEAS_TOL = 1e-9    # bound-violation tolerance, relative to the rhs scale
 PIVOT_TOL = 1e-10  # smallest usable pivot-column entry in a ratio test
 ORACLE_TOL = 1e-9  # brute_force_lp's vertex tolerance, relative to the rhs scale
+# Largest share of nonzeros in A at which pricing gathers over A's nonzeros
+# instead of taking the dense product. The two kernels break even at about
+# 4-8% over the TSUC and DCOPF shapes (72 x 108 to 1,100 x 6,192, one BLAS
+# thread).
+SPARSE_PRICING_DENSITY = 1 / 20
 
 # Variable states.
 _AT_LO = 0
@@ -90,6 +104,11 @@ class LpSolution:
     dual_objective: float = 0.0
     basis: np.ndarray | None = None       # basic column per row
     col_status: np.ndarray | None = None  # per-column state codes
+    # ``iterations`` split by phase: a cold solve runs phase 1 then phase 2,
+    # a warm one the dual simplex then phase 2.
+    phase1_iterations: int = 0
+    dual_iterations: int = 0
+    phase2_iterations: int = 0
 
 
 @dataclass
@@ -132,6 +151,15 @@ class _Tableau:
         m_eq, m_le = problem.a_eq.shape[0], problem.a_le.shape[0]
         m = m_eq + m_le
         self.a = np.vstack([problem.a_eq, problem.a_le])
+        # (row, col, value) of A's nonzeros when A is sparse, for pricing.
+        # Found through a boolean mask: np.nonzero on the float matrix
+        # itself takes about ten times as long.
+        self.nonzeros = None
+        mask = self.a != 0.0
+        if np.count_nonzero(mask) <= SPARSE_PRICING_DENSITY * mask.size:
+            flat = np.flatnonzero(mask)
+            row, col = np.divmod(flat, problem.n)
+            self.nonzeros = row, col, self.a.ravel()[flat]
         self.b = np.concatenate([problem.b_eq, problem.b_le])
         self.unit_row = np.concatenate([np.arange(m_eq, m), np.arange(m)])
         self.unit_sign = np.ones(m_le + m)
@@ -156,7 +184,12 @@ class _Tableau:
     def _times_cols(self, v: np.ndarray) -> np.ndarray:
         """v @ [A | slack columns], over every column that may enter."""
         k = self.n_slack
-        return np.concatenate([v @ self.a,
+        if self.nonzeros is None:
+            struct = v @ self.a
+        else:
+            row, col, val = self.nonzeros
+            struct = np.bincount(col, v[row] * val, self.n_struct)
+        return np.concatenate([struct,
                                self.unit_sign[:k] * v[self.unit_row[:k]]])
 
     def ftran(self, j: int) -> np.ndarray:
@@ -450,6 +483,7 @@ def solve_lp(
             status = (LpStatus.INFEASIBLE if left > FEAS_TOL * b_scale
                       else LpStatus.OPTIMAL)
         t.hi[ne:] = 0.0
+    first = iters  # phase-1 or dual iterations
     if status is LpStatus.OPTIMAL:
         status = run_phase(c_phase2, 2)
 
@@ -459,7 +493,10 @@ def solve_lp(
     finite = np.isfinite(t.xval[:ne]) & (t.status[:ne] != _BASIC)
     dual_obj = float(y @ t.b + d[finite] @ t.xval[:ne][finite])
     return LpSolution(status, x, obj, iters, dual_obj,
-                      basis=t.basis.copy(), col_status=t.status.copy())
+                      basis=t.basis.copy(), col_status=t.status.copy(),
+                      phase1_iterations=0 if warm else first,
+                      dual_iterations=first if warm else 0,
+                      phase2_iterations=iters - first)
 
 
 def remap_start(sol: LpSolution, n: int, m_eq: int, m_le: int) -> LpStart | None:

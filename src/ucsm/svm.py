@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DimensionMismatch, FeatureMismatch, ParseError,
-                     SingleClassData)
+                     SingleClassData, finite_float)
 
 MARGIN_TOL = 1e-9  # violations deeper than this leave the margin
 COEFF_PRINT_FLOOR = 1e-3  # relative magnitude below which a report prints 0
@@ -320,13 +320,13 @@ def model_from_text(text: str) -> tuple[Hyperplane, Standardizer, int, float]:
             raise ParseError(lineno, f"bad value for {key}: {raw!r}") from None
 
     def _floats(raw):
-        return np.array([float(v) for v in raw.split(",") if v])
+        return np.array([finite_float(v) for v in raw.split(",") if v])
 
     h = Hyperplane(
         weights_scaled=_get("w_scaled", _floats),
-        bias_scaled=_get("b_scaled", float),
+        bias_scaled=_get("b_scaled", finite_float),
         weights_physical=_get("w_physical", _floats),
-        bias_physical=_get("b_physical", float),
+        bias_physical=_get("b_physical", finite_float),
         feature_names=tuple(n for n in kv["feature_names"][1].split(",") if n),
     )
     n_features = _get("standardizer_n_features", int,
@@ -343,4 +343,5 @@ def model_from_text(text: str) -> tuple[Hyperplane, Standardizer, int, float]:
             "model has %d feature names and %d physical weights; its "
             "standardizer covers %d features" % sizes
         )
-    return h, s, _get("train_seed", int, "0"), _get("margin", float, "nan")
+    margin = _get("margin", finite_float) if "margin" in kv else float("nan")
+    return h, s, _get("train_seed", int, "0"), margin

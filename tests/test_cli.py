@@ -126,6 +126,27 @@ def test_solve_malformed_case_exit_2(tmp_path):
     assert rc == cli.EXIT_INPUT
 
 
+@pytest.mark.parametrize("old, new", [
+    pytest.param("3, 70.0", "3, nan", id="load-nan"),
+    pytest.param("120, 18, 0.020", "120, nan, 0.020", id="c1-nan"),
+    pytest.param("2, 30.0", "nan, 30.0", id="bus-nan"),
+    pytest.param("90, 90, 1, 1,", "90, 90, inf, 1,", id="min-up-inf"),
+    pytest.param("90, 90, 1, 1,", "90, 90, 1.5, 1,", id="min-up-1.5"),
+    pytest.param("base_mva = 100", "base_mva = inf", id="base-mva-inf"),
+    pytest.param("ref_bus = 1", "ref_bus = 1.5", id="ref-bus-1.5"),
+])
+def test_solve_case_number_not_finite_or_whole_exit_2(tmp_path, capsys,
+                                                      old, new):
+    text = bundled_case_text("sixbus")
+    path = tmp_path / "bad.case"
+    path.write_text(text.replace(old, new, 1))
+    rc = cli.main(["solve", "--case", str(path), "--scenarios", "2",
+                   "--horizon", "3", "--segments", "2"])
+    assert rc == cli.EXIT_INPUT
+    line = text[:text.index(old)].count("\n") + 1
+    assert f"line {line}:" in capsys.readouterr().err
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "ucsm.cfg"
     cfg.write_text("scenarios = 2\nhorizon = 3\nsegments = 2\n")
@@ -165,10 +186,17 @@ def test_config_value_outside_choices_exit_2(tmp_path):
     assert exc.value.code == cli.EXIT_INPUT
 
 
-def test_solve_malformed_model_number_exit_2(model_file, tmp_path, capsys):
+@pytest.mark.parametrize("key, value", [
+    ("b_scaled", "abc"), ("b_physical", "inf"), ("w_physical", "nan"),
+    ("standardizer_std", "-inf"),
+])
+def test_solve_malformed_model_number_exit_2(model_file, tmp_path, capsys,
+                                             key, value):
     lines = model_file.read_text().splitlines()
-    row = next(i for i, ln in enumerate(lines) if ln.startswith("b_scaled="))
-    lines[row] = "b_scaled=abc"
+    row = next(i for i, ln in enumerate(lines) if ln.startswith(key + "="))
+    # The field's first value becomes ``value``; any others stay.
+    rest = lines[row].partition("=")[2].partition(",")[2]
+    lines[row] = f"{key}={value}" + (f",{rest}" if rest else "")
     bad = tmp_path / "bad.model"
     bad.write_text("\n".join(lines) + "\n")
     rc = cli.main(["solve", "--case", "sixbus", "--mode", "surrogate",
@@ -177,11 +205,12 @@ def test_solve_malformed_model_number_exit_2(model_file, tmp_path, capsys):
     assert f"line {row + 1}:" in capsys.readouterr().err
 
 
-def test_train_malformed_feature_exit_2(data_file, tmp_path, capsys):
+@pytest.mark.parametrize("value", ["xyz", "nan", "inf"])
+def test_train_malformed_feature_exit_2(data_file, tmp_path, capsys, value):
     lines = data_file.read_text().splitlines()
     # The first row after the header holds the first sample.
     row = next(i for i, ln in enumerate(lines) if not ln.startswith("#")) + 1
-    lines[row] = "xyz" + lines[row][lines[row].index(","):]
+    lines[row] = value + lines[row][lines[row].index(","):]
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
     rc = cli.main(["train", "--data", str(bad),

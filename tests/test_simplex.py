@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from ucsm.errors import DimensionMismatch
-from ucsm.simplex import (_AT_LO, _BASIC, INF_BOUND, LpProblem, LpStart,
-                          LpStatus, _Tableau, brute_force_lp, remap_start,
-                          solve_lp)
+from ucsm.simplex import (_AT_LO, _BASIC, INF_BOUND, SPARSE_PRICING_DENSITY,
+                          LpProblem, LpStart, LpStatus, _Tableau,
+                          brute_force_lp, remap_start, solve_lp)
 
 
 def box(n):
@@ -145,7 +145,7 @@ def test_degenerate_problem_terminates():
 
 def test_warm_start_matches_cold(rng):
     """Re-solving with appended rows from a remapped basis is exact."""
-    agree = 0
+    agree = dual = phase1 = 0
     for _ in range(150):
         prob = random_lp(rng)
         sol0 = solve_lp(prob)
@@ -167,7 +167,16 @@ def test_warm_start_matches_cold(rng):
             assert warm.objective == pytest.approx(cold.objective, abs=1e-7,
                                                    rel=1e-7)
             agree += 1
-    assert agree >= 50
+        # The phase split sums to the total; a warm solve runs no phase 1
+        # and a cold one no dual simplex.
+        for sol in (sol0, warm, cold):
+            assert (sol.phase1_iterations + sol.dual_iterations
+                    + sol.phase2_iterations == sol.iterations)
+        assert warm.phase1_iterations == 0
+        assert sol0.dual_iterations == cold.dual_iterations == 0
+        dual += warm.dual_iterations > 0
+        phase1 += cold.phase1_iterations > 0
+    assert agree >= 50 and dual >= 50 and phase1 >= 50
 
 
 def test_dual_simplex_reoptimizes_appended_cut_in_one_pivot():
@@ -186,7 +195,7 @@ def test_dual_simplex_reoptimizes_appended_cut_in_one_pivot():
     assert warm.status is LpStatus.OPTIMAL
     np.testing.assert_allclose(warm.x, [5.0 / 3.0, 6.0], atol=1e-9)
     assert warm.objective == pytest.approx(-35.0)
-    assert warm.iterations == 1
+    assert warm.iterations == warm.dual_iterations == 1
 
 
 def test_warm_start_with_fixed_columns_and_rows(rng):
@@ -344,3 +353,84 @@ def test_eta_update_matches_dense_rank_one(rng):
                 e[t.unit_row[k - t.n_struct]] = t.unit_sign[k - t.n_struct]
                 np.testing.assert_array_equal(t.ftran(k), t.binv @ e)
     assert pivots >= 1000
+
+
+def sparse_lp(rng, n, m_eq, m_le, density=0.03):
+    """A feasible LP whose rows hold about ``density`` * n nonzeros each,
+    at least one, with every column boxed in [0, hi]."""
+    m = m_eq + m_le
+    a = rng.normal(size=(m, n)) * (rng.random((m, n)) < density)
+    a[np.arange(m), rng.integers(0, n, size=m)] = rng.normal(size=m)
+    hi = rng.uniform(1.0, 4.0, size=n)
+    x0 = rng.uniform(0.0, 1.0, size=n) * hi
+    return LpProblem(c=rng.normal(size=n), a_eq=a[:m_eq], b_eq=a[:m_eq] @ x0,
+                     a_le=a[m_eq:],
+                     b_le=a[m_eq:] @ x0 + rng.uniform(0.0, 1.0, size=m_le),
+                     lo=np.zeros(n), hi=hi)
+
+
+def dense_times_cols(t, v):
+    """The dense pricing kernel, v @ [A | slack columns]."""
+    k = t.n_slack
+    return np.concatenate([v @ t.a, t.unit_sign[:k] * v[t.unit_row[:k]]])
+
+
+@pytest.mark.parametrize("m_eq, m_le", [(3, 40), (20, 0), (0, 0)])
+def test_sparse_pricing_matches_dense_product(rng, m_eq, m_le):
+    """A sparse A is priced from its nonzeros (every row of B^-1 or any
+    dual vector gives v @ A to rounding), a dense one by the product. The
+    last column is all zero, so the sparse kernel must still size its
+    result to every column."""
+    n = 150
+    prob = sparse_lp(rng, n, m_eq, m_le)
+    prob.a_eq[:, -1] = prob.a_le[:, -1] = 0.0
+    t = _Tableau(prob)
+    assert t.nonzeros is not None
+    assert t.nonzeros[0].size <= SPARSE_PRICING_DENSITY * t.a.size
+    for _ in range(20):
+        v = rng.normal(size=t.m)
+        got, want = t._times_cols(v), dense_times_cols(t, v)
+        assert got.shape == want.shape == (n + m_le,)
+        assert got[n - 1] == 0.0
+        bound = 1e-13 * (np.abs(v) @ np.abs(t.a))
+        assert np.all(np.abs(got[:n] - want[:n]) <= bound)
+        np.testing.assert_array_equal(got[n:], want[n:])
+    assert _Tableau(random_lp(rng)).nonzeros is None
+
+
+def test_sparse_pricing_solves_as_dense(rng, monkeypatch):
+    """Sparse LPs, cold and as warm children with one column fixed and a
+    row appended, reach the status and objective of solves priced by the
+    dense product."""
+    def solve_dense(*args, **kwargs):
+        with monkeypatch.context() as mp:
+            mp.setattr(_Tableau, "_times_cols", dense_times_cols)
+            return solve_lp(*args, **kwargs)
+
+    solved = {LpStatus.OPTIMAL: 0, LpStatus.INFEASIBLE: 0}
+    for _ in range(40):
+        n, m_eq, m_le = 120, int(rng.integers(0, 6)), int(rng.integers(20, 40))
+        prob = sparse_lp(rng, n, m_eq, m_le)
+        assert _Tableau(prob).nonzeros is not None
+        sparse, dense = solve_lp(prob), solve_dense(prob)
+        assert sparse.status is dense.status is LpStatus.OPTIMAL
+        assert sparse.objective == pytest.approx(dense.objective, rel=1e-9,
+                                                 abs=1e-9)
+        lo, hi = prob.lo.copy(), prob.hi.copy()
+        j = int(rng.integers(n))
+        lo[j] = hi[j] = rng.choice([lo[j], hi[j]])
+        row = rng.normal(size=n) * (rng.random(n) < 0.03)
+        row[rng.integers(n)] = 1.0
+        child = LpProblem(c=prob.c, a_eq=prob.a_eq, b_eq=prob.b_eq,
+                          a_le=np.vstack([prob.a_le, row]),
+                          b_le=np.append(prob.b_le, row @ sparse.x
+                                         + rng.normal() * 0.5),
+                          lo=lo, hi=hi)
+        warm = [solve(child, start=remap_start(sol, n, m_eq, m_le + 1))
+                for solve, sol in ((solve_lp, sparse), (solve_dense, dense))]
+        assert warm[0].status is warm[1].status
+        if warm[0].status is LpStatus.OPTIMAL:
+            assert warm[0].objective == pytest.approx(
+                warm[1].objective, rel=1e-9, abs=1e-9)
+        solved[warm[0].status] += 1
+    assert solved[LpStatus.OPTIMAL] >= 10 and solved[LpStatus.INFEASIBLE] >= 5
