@@ -262,6 +262,7 @@ def build_matrices(case: SystemCase) -> GridMatrices:
 # Case file parsing
 
 _SECTIONS = ("config", "buses", "lines", "generators", "wind")
+_CONFIG_KEYS = ("ref_bus", "base_mva")
 
 
 def parse_case(text: str, name: str = "") -> SystemCase:
@@ -288,8 +289,11 @@ def parse_case(text: str, name: str = "") -> SystemCase:
             if "=" not in stripped:
                 raise ParseError(lineno, "expected key = value")
             key, _, val = stripped.partition("=")
+            key = key.strip()
+            if key not in _CONFIG_KEYS:
+                raise ParseError(lineno, f"unknown [config] key {key!r}")
             try:
-                config[key.strip()] = lineno, finite_float(val)
+                config[key] = lineno, finite_float(val)
             except ValueError:
                 raise ParseError(lineno, f"bad numeric value {val.strip()!r}") from None
             continue

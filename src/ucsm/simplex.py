@@ -2,9 +2,16 @@
 starts, bounded dual simplex for warm starts.
 
 The basis inverse is held dense and explicitly (rank-1 eta updates,
-periodic refactorization by ``np.linalg.inv``), and so is A. An eta update
-writes only the block where its rank-one term is nonzero: the rows where
-B^-1 a_j is nonzero by the columns where the pivot row of B^-1 is.
+refactorization at a warm start and every 100 updates), and so is A. An
+eta update writes only the block where its rank-one term is nonzero: the
+rows where B^-1 a_j is nonzero by the columns where the pivot row of B^-1
+is. A refactorization inverts only the basis kernel: most basic columns are
+slacks or artificials, signed unit columns, and the k structural ones meet
+the rows no unit column covers in a k x k block, the only part passed to
+``np.linalg.inv``; B^-1 is assembled from its inverse blockwise, with the
+m x m basis never formed (kernel or "bump" reduction, as in Suhl and Suhl,
+ORSA J. Computing 2(4), 1990). Its cost falls with (k/m)^3; in grid24
+TSUC node LPs k is a median 34-39% of m, in their dispatch LPs 13%.
 
 Pricing, the product of a dual vector or a row of B^-1 with every column,
 has two kernels, chosen once per problem by A's density: the BLAS product
@@ -262,18 +269,33 @@ class _Tableau:
         return True
 
     def refactor(self):
+        """B^-1 from the kernel of the basis. With the positions p holding
+        unit columns (rows R, signs S) and q the structural ones, and F the
+        rows no unit column covers, B is block triangular in rows (R, F) and
+        positions (p, q), so only the kernel K = A[F, js[q]] is inverted:
+        B^-1[p, R] = S, B^-1[q, F] = K^-1, B^-1[p, F] = -S A[R, js[q]] K^-1,
+        zero elsewhere."""
         m, ns = self.m, self.n_struct
-        bmat = np.zeros((m, m))
         js = self.basis
-        pos = np.arange(m)
         struct = js < ns
-        bmat[:, pos[struct]] = self.a[:, js[struct]]
-        unit = js[~struct] - ns
-        bmat[self.unit_row[unit], pos[~struct]] = self.unit_sign[unit]
+        p, q = np.flatnonzero(~struct), np.flatnonzero(struct)
+        unit = js[p] - ns
+        rows, sign = self.unit_row[unit], self.unit_sign[unit]
+        free = np.ones(m, dtype=bool)
+        free[rows] = False
+        f = np.flatnonzero(free)
+        if f.size != q.size:  # two unit columns on one row
+            raise SingularMatrix("basis matrix singular at refactorization")
+        cols = js[q]
         try:
-            self.binv = np.linalg.inv(bmat)
+            kinv = np.linalg.inv(self.a[np.ix_(f, cols)])
         except np.linalg.LinAlgError as exc:
             raise SingularMatrix("basis matrix singular at refactorization") from exc
+        self.binv = np.zeros((m, m))
+        self.binv[p, rows] = sign
+        self.binv[np.ix_(q, f)] = kinv
+        self.binv[np.ix_(p, f)] = -sign[:, None] * (self.a[np.ix_(rows, cols)]
+                                                    @ kinv)
         self.xb = self.binv @ self.nonbasic_rhs()
         self.xval[self.basis] = self.xb
         self.since_refactor = 0
@@ -336,7 +358,6 @@ def solve_lp(
     def run_phase(cvec, phase: int) -> LpStatus:
         nonlocal iters
         dtol = OPT_TOL * (c_scale if phase == 2 else b_scale)
-        t.since_refactor = 0
         while True:
             if iters >= max_iter:
                 return LpStatus.ITERATION_LIMIT

@@ -147,6 +147,19 @@ def test_solve_case_number_not_finite_or_whole_exit_2(tmp_path, capsys,
     assert f"line {line}:" in capsys.readouterr().err
 
 
+def test_solve_case_unknown_config_key_exit_2(tmp_path, capsys):
+    """A misspelt ``base_mva`` is rejected at its line instead of leaving
+    the base at its default of 100."""
+    text = bundled_case_text("sixbus")
+    path = tmp_path / "bad.case"
+    path.write_text(text.replace("base_mva = 100", "base_mav = 50", 1))
+    rc = cli.main(["solve", "--case", str(path), "--scenarios", "2",
+                   "--horizon", "3", "--segments", "2"])
+    assert rc == cli.EXIT_INPUT
+    line = text[:text.index("base_mva")].count("\n") + 1
+    assert f"line {line}: unknown [config] key 'base_mav'" in capsys.readouterr().err
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "ucsm.cfg"
     cfg.write_text("scenarios = 2\nhorizon = 3\nsegments = 2\n")

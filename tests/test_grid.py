@@ -54,6 +54,15 @@ def test_data_before_section_rejected():
         parse_case("1, 2, 0.1, 100\n[lines]\n")
 
 
+def test_unknown_config_key_rejected():
+    """A misspelt key is an error at its line, not a silent default."""
+    text = RING_TEXT.replace("ref_bus = 1", "ref_bus = 1\nbase_mav = 50")
+    with pytest.raises(ParseError) as exc:
+        parse_case(text)
+    assert exc.value.line == 4
+    assert "base_mav" in exc.value.reason
+
+
 def test_missing_ref_bus_rejected():
     text = RING_TEXT.replace("ref_bus = 1", "base_mva = 100")
     with pytest.raises(ValidationError):

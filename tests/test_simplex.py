@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ucsm.errors import DimensionMismatch
+from ucsm.errors import DimensionMismatch, SingularMatrix
 from ucsm.simplex import (_AT_LO, _BASIC, INF_BOUND, SPARSE_PRICING_DENSITY,
                           LpProblem, LpStart, LpStatus, _Tableau,
                           brute_force_lp, remap_start, solve_lp)
@@ -353,6 +353,74 @@ def test_eta_update_matches_dense_rank_one(rng):
                 e[t.unit_row[k - t.n_struct]] = t.unit_sign[k - t.n_struct]
                 np.testing.assert_array_equal(t.ftran(k), t.binv @ e)
     assert pivots >= 1000
+
+
+def assembled_basis(t):
+    """The m x m basis matrix, one column per basis position."""
+    bmat = np.zeros((t.m, t.m))
+    for i, j in enumerate(t.basis):
+        if j < t.n_struct:
+            bmat[:, i] = t.a[:, j]
+        else:
+            bmat[t.unit_row[j - t.n_struct], i] = t.unit_sign[j - t.n_struct]
+    return bmat
+
+
+def crashed_tableau(rng, n, m_eq, m_le):
+    """A random dense LP's tableau after its crash basis, so about half of
+    its artificials are signed -1."""
+    prob = LpProblem(c=rng.normal(size=n), a_eq=rng.normal(size=(m_eq, n)),
+                     b_eq=rng.normal(size=m_eq), a_le=rng.normal(size=(m_le, n)),
+                     b_le=rng.normal(size=m_le), lo=np.zeros(n),
+                     hi=np.full(n, 2.0))
+    t = _Tableau(prob)
+    t.cold_start()
+    return t
+
+
+def mixed_basis(rng, t, k):
+    """k structural columns, and on each of the m - k other rows its slack
+    or its artificial, in shuffled positions."""
+    m_eq = t.m - t.n_slack
+    rows = rng.permutation(t.m)[:t.m - k]
+    slack = (rows >= m_eq) & (rng.random(rows.size) < 0.5)
+    units = np.where(slack, t.n_struct + rows - m_eq, t.n_enter + rows)
+    struct = rng.permutation(t.n_struct)[:k]
+    return rng.permutation(np.concatenate([struct, units]).astype(int))
+
+
+@pytest.mark.parametrize("m_eq, m_le", [(0, 0), (0, 6), (4, 0), (3, 9)])
+def test_refactor_inverts_mixed_bases(rng, m_eq, m_le):
+    """refactor inverts only the kernel of structural columns, yet its
+    B^-1 times the assembled B is I, for every kernel size k from 0 (all
+    unit columns) to m (all structural), and B x_B is the nonbasic rhs."""
+    m = m_eq + m_le
+    negative = 0
+    for trial in range(40):
+        t = crashed_tableau(rng, 12, m_eq, m_le)
+        negative += int(np.sum(t.unit_sign[t.n_slack:] < 0))
+        k = (0, m)[trial] if trial < 2 else int(rng.integers(0, m + 1))
+        t.basis = mixed_basis(rng, t, k)
+        t.refactor()
+        bmat = assembled_basis(t)
+        np.testing.assert_allclose(t.binv @ bmat, np.eye(m), atol=1e-9)
+        np.testing.assert_allclose(bmat @ t.xb, t.nonbasic_rhs(), atol=1e-9)
+        assert t.since_refactor == 0
+    assert m == 0 or negative > 0
+
+
+def test_refactor_rejects_singular_bases(rng):
+    """Two unit columns on one row, or a singular kernel, raise
+    SingularMatrix."""
+    t = crashed_tableau(rng, 6, 1, 3)  # rows 0 (=) and 1-3 (<=)
+    n, ne = t.n_struct, t.n_enter
+    t.basis = np.array([n, ne + 1, 0, ne + 3])  # slack and artificial of row 1
+    with pytest.raises(SingularMatrix):
+        t.refactor()
+    t.a[:2, 1] = 0.0  # column 1 is zero on the rows the kernel keeps
+    t.basis = np.array([0, 1, ne + 2, ne + 3])
+    with pytest.raises(SingularMatrix):
+        t.refactor()
 
 
 def sparse_lp(rng, n, m_eq, m_le, density=0.03):
