@@ -123,12 +123,12 @@ def run_benchmark(
     trials: int,
     seed: int,
     *,
-    samples: int = 600,
-    n_scenarios: int = 3,
-    horizon: int = 6,
-    pwl_segments: int = 4,
-    gap_tol: float = 1e-6,
-    time_repeats: int = 3,
+    samples: int,
+    n_scenarios: int,
+    horizon: int,
+    pwl_segments: int,
+    gap_tol: float,
+    time_repeats: int,
 ) -> BenchmarkReport:
     """gen -> train -> solve(full) -> solve(surrogate) over `trials` seeds.
 

@@ -24,8 +24,8 @@ from .errors import (BalancingFailed, DimensionMismatch, FeatureMismatch,
                      ParseError, SingleClassData, UcsmError, ValidationError)
 from .grid import SystemCase, build_matrices, load_bundled_case, parse_case
 from .simplex import LpProblem, LpStatus, brute_force_lp, solve_lp
-from .tsuc import (TsucInstance, TsucMode, TsucStatus, brute_force_tsuc,
-                   constraint_counts, solve_tsuc)
+from .tsuc import (DEFAULT_GAP_TOL, TsucInstance, TsucMode, TsucStatus,
+                   brute_force_tsuc, constraint_counts, solve_tsuc)
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -223,7 +223,7 @@ def _suite_grid(case, rng) -> list[str]:
         inj = rng.normal(size=case.n_buses) * 50.0
         inj -= inj.mean()  # balanced injection
         f_ptdf = mats.ptdf @ inj
-        theta = mats.angles(inj, case.base_mva)
+        theta = mats.angles(inj)
         f_ang = np.array([
             (theta[case.bus_index(ln.from_bus)] - theta[case.bus_index(ln.to_bus)])
             / ln.reactance_x * case.base_mva
@@ -375,29 +375,29 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     t.add_argument("--seed", type=int, default=svm_defaults.rng_seed)
     t.set_defaults(func=cmd_train)
 
+    def instance_flags(cmd: argparse.ArgumentParser) -> None:
+        """The TSUC instance flags that solve and bench share."""
+        cmd.add_argument("--case", required=True)
+        cmd.add_argument("--scenarios", type=_number(1), default=3)
+        cmd.add_argument("--horizon", type=_number(1), default=6)
+        cmd.add_argument("--segments", type=_number(1),
+                         default=TsucInstance.pwl_segments)
+        cmd.add_argument("--gap-tol", type=_number(0.0, float),
+                         default=DEFAULT_GAP_TOL)
+        cmd.add_argument("--seed", type=int, default=0)
+        cmd.add_argument("--out")
+
     s = sub.add_parser("solve", help="solve the stochastic unit commitment")
-    s.add_argument("--case", required=True)
+    instance_flags(s)
     s.add_argument("--model")
     s.add_argument("--mode", choices=["full", "surrogate"], default="full")
-    s.add_argument("--scenarios", type=_number(1), default=3)
-    s.add_argument("--horizon", type=_number(1), default=6)
-    s.add_argument("--segments", type=_number(1), default=4)
-    s.add_argument("--gap-tol", type=_number(0.0, float), default=1e-6)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--out")
     s.set_defaults(func=cmd_solve)
 
     b = sub.add_parser("bench", help="paired full-vs-surrogate benchmark")
-    b.add_argument("--case", required=True)
+    instance_flags(b)
     b.add_argument("--trials", type=_number(1), default=5)
-    b.add_argument("--seed", type=int, default=0)
     b.add_argument("--samples", type=_number(50), default=600)
-    b.add_argument("--scenarios", type=_number(1), default=3)
-    b.add_argument("--horizon", type=_number(1), default=6)
-    b.add_argument("--segments", type=_number(1), default=4)
-    b.add_argument("--gap-tol", type=_number(0.0, float), default=1e-6)
     b.add_argument("--repeats", type=_number(1), default=3)
-    b.add_argument("--out")
     b.set_defaults(func=cmd_bench)
 
     v = sub.add_parser("validate", help="run the oracle property suites")

@@ -99,7 +99,7 @@ def solve_dcopf(
     dispatch = pmin + sol.x.reshape(-1, SEGMENTS).sum(axis=1)
     injection = mats.injection(load_mw, wind_mw, dispatch)
     flows = mats.ptdf @ injection
-    angles = mats.angles(injection, case.base_mva)
+    angles = mats.angles(injection)
     fixed = sum(g.c0 + c.base_value for g, c in zip(case.generators, curves))
     return DcopfResult(DcopfStatus.OPTIMAL, dispatch, angles, flows,
                        float(sol.objective + fixed))

@@ -197,6 +197,7 @@ class GridMatrices:
     reduced_lu: tuple = field(repr=False)  # LU of b_matrix, ref row/col removed
     gen_bus: np.ndarray    # (G,) bus index of each generator
     wind_bus: np.ndarray   # (W,) bus index of each wind unit
+    base_mva: float        # the per-unit base of b_matrix
 
     def injection(self, load_mw, wind_mw, gen_mw=None) -> np.ndarray:
         """Net MW injection, buses on axis 0: wind plus dispatch minus load.
@@ -219,10 +220,10 @@ class GridMatrices:
         return (np.concatenate([gen, -gen]),
                 np.concatenate([limits - base_mw, limits + base_mw]))
 
-    def angles(self, injection_mw: np.ndarray, base_mva: float) -> np.ndarray:
+    def angles(self, injection_mw: np.ndarray) -> np.ndarray:
         """Bus voltage angles (rad) for a balanced MW injection vector, or
         for each column of an (N, k) matrix of them."""
-        p = np.asarray(injection_mw, dtype=float) / base_mva
+        p = np.asarray(injection_mw, dtype=float) / self.base_mva
         keep = np.arange(p.shape[0]) != self.ref_index
         theta = np.zeros(p.shape)
         theta[keep] = lu_backsolve(*self.reduced_lu, p[keep])
@@ -247,15 +248,18 @@ def build_matrices(case: SystemCase) -> GridMatrices:
     ref = case.ref_index
     keep = np.arange(nb) != ref
     lu = lu_factor(bmat[np.ix_(keep, keep)])  # SingularMatrix if disconnected
-    # X[k] = angles for a unit injection at bus k (ref column zero).
+    # X[k] = angles for a unit injection at bus k (ref column zero); a
+    # one-bus case has none.
     eye = np.eye(nb - 1)
-    xred = np.column_stack([lu_backsolve(*lu, eye[:, k]) for k in range(nb - 1)])
+    xred = np.array([lu_backsolve(*lu, eye[:, k])
+                     for k in range(nb - 1)]).T.reshape(nb - 1, nb - 1)
     xfull = np.zeros((nb, nb))
     xfull[np.ix_(keep, keep)] = xred
     ptdf = (xfull[fb] - xfull[tb]) / x[:, None]
     return GridMatrices(bmat, ptdf, ref, lu,
                         gen_bus=at(g.bus for g in case.generators),
-                        wind_bus=at(w.bus for w in case.wind_units))
+                        wind_bus=at(w.bus for w in case.wind_units),
+                        base_mva=case.base_mva)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 starts, bounded dual simplex for warm starts.
 
 The basis inverse is held dense and explicitly (rank-1 eta updates,
-refactorization at a warm start and every 100 updates), and so is A. An
+refactorization at every start and every 100 updates), and so is A. An
 eta update writes only the block where its rank-one term is nonzero: the
 rows where B^-1 a_j is nonzero by the columns where the pivot row of B^-1
 is. A refactorization inverts only the basis kernel: most basic columns are
@@ -177,7 +177,7 @@ class _Tableau:
                                   np.full(m, np.inf)])
         self.lo[self.lo <= -INF_BOUND] = -np.inf
         self.hi[self.hi >= INF_BOUND] = np.inf
-        self.basis = self.status = self.xval = self.xb = self.binv = None
+        self.basis = self.status = self.xval = self.binv = None
         self.since_refactor = 0  # pivots since the last factorization
 
     @property
@@ -242,10 +242,8 @@ class _Tableau:
         self.unit_sign[self.n_slack:] = sign
         slack = np.nonzero(r[m_eq:] >= 0)[0]
         self.basis[m_eq + slack] = self.n_struct + slack
-        self.binv = np.diag(sign)
-        self.xb = np.abs(r)
         self.status[self.basis] = _BASIC
-        self.xval[self.basis] = self.xb
+        self.refactor()
 
     def warm_start(self, start: LpStart) -> bool:
         """Adopt an advanced basis with every nonbasic column at the bound
@@ -296,8 +294,7 @@ class _Tableau:
         self.binv[np.ix_(q, f)] = kinv
         self.binv[np.ix_(p, f)] = -sign[:, None] * (self.a[np.ix_(rows, cols)]
                                                     @ kinv)
-        self.xb = self.binv @ self.nonbasic_rhs()
-        self.xval[self.basis] = self.xb
+        self.xval[self.basis] = self.binv @ self.nonbasic_rhs()
         self.since_refactor = 0
 
     def pivot(self, r: int, j: int, w: np.ndarray, theta: float,
@@ -306,14 +303,14 @@ class _Tableau:
         j (with w = B^-1 a_j) moves by theta and enters on row r; the
         leaving column goes nonbasic in ``leave_state``. Refactors every
         100 exchanges."""
-        self.xb -= theta * w
+        self.xval[self.basis] -= theta * w
         old = self.basis[r]
         self.status[old] = leave_state
         self.xval[old] = _nonbasic_value(self.lo[old], self.hi[old],
                                          leave_state)
         self.basis[r] = j
         self.status[j] = _BASIC
-        self.xb[r] = self.xval[j] + theta
+        self.xval[j] += theta
 
         # Eta update of the inverse, on the block where the rank-one term
         # is nonzero: the rows where w is, the columns where row r is.
@@ -321,7 +318,6 @@ class _Tableau:
         rows, cols = np.flatnonzero(w), np.flatnonzero(row)
         self.binv[np.ix_(rows, cols)] -= np.multiply.outer(w[rows], row[cols])
         self.binv[r] = row
-        self.xval[self.basis] = self.xb
         self.since_refactor += 1
         if self.since_refactor >= 100:
             self.refactor()
@@ -384,11 +380,10 @@ def solve_lp(
             # Ratio test: basic variables hitting their bounds, plus a
             # possible bound flip of the entering variable itself.
             dw = direction * w
-            lob = t.lo[t.basis]
-            hib = t.hi[t.basis]
+            xb, lob, hib = t.xval[t.basis], t.lo[t.basis], t.hi[t.basis]
             with np.errstate(divide="ignore", invalid="ignore"):
-                down = np.where(dw > PIVOT_TOL, (t.xb - lob) / dw, np.inf)
-                up = np.where(dw < -PIVOT_TOL, (t.xb - hib) / dw, np.inf)
+                down = np.where(dw > PIVOT_TOL, (xb - lob) / dw, np.inf)
+                up = np.where(dw < -PIVOT_TOL, (xb - hib) / dw, np.inf)
             lim = np.minimum(down, up)
             lim[~np.isfinite(lim)] = np.inf
             lim = np.maximum(lim, 0.0)
@@ -434,8 +429,7 @@ def solve_lp(
 
             if flip < step - 1e-15 or leave < 0:
                 # Bound flip: entering variable moves to its other bound.
-                t.xb -= flip * dw
-                t.xval[t.basis] = t.xb
+                t.xval[t.basis] -= flip * dw
                 t.status[j] = _AT_HI if sj == _AT_LO else _AT_LO
                 t.xval[j] = _nonbasic_value(t.lo[j], t.hi[j], t.status[j])
                 continue
@@ -452,8 +446,9 @@ def solve_lp(
         certifies infeasibility."""
         nonlocal iters
         while True:
-            below = t.lo[t.basis] - t.xb
-            viol = np.maximum(below, t.xb - t.hi[t.basis])
+            xb = t.xval[t.basis]
+            below = t.lo[t.basis] - xb
+            viol = np.maximum(below, xb - t.hi[t.basis])
             bad = np.nonzero(viol > FEAS_TOL * b_scale)[0]
             if bad.size == 0:
                 return LpStatus.OPTIMAL
@@ -489,7 +484,7 @@ def solve_lp(
 
             w = t.ftran(q)
             target = t.lo[t.basis[r]] if rises else t.hi[t.basis[r]]
-            t.pivot(r, q, w, (t.xb[r] - target) / w[r],
+            t.pivot(r, q, w, (xb[r] - target) / w[r],
                     _AT_LO if rises else _AT_HI)
 
     # Artificials stay fixed at zero once phase 1 is over; one still basic
@@ -500,7 +495,7 @@ def solve_lp(
     else:
         status = run_phase(c_phase1, 1)
         if status is not LpStatus.ITERATION_LIMIT:
-            left = float(c_phase1[t.basis] @ t.xb)  # artificial total
+            left = float(c_phase1[t.basis] @ t.xval[t.basis])  # artificial total
             status = (LpStatus.INFEASIBLE if left > FEAS_TOL * b_scale
                       else LpStatus.OPTIMAL)
         t.hi[ne:] = 0.0
@@ -520,15 +515,13 @@ def solve_lp(
                       phase2_iterations=iters - first)
 
 
-def remap_start(sol: LpSolution, n: int, m_eq: int, m_le: int) -> LpStart | None:
+def remap_start(sol: LpSolution, n: int, m_eq: int, m_le: int) -> LpStart:
     """Carry a solved basis over to the same problem with ``<=`` rows
     appended, ``m_le`` of them in all; the bounds may differ.
 
     Each appended row gets its slack as the basic variable. The artificial
     columns follow the slacks, so they shift past the new ones.
     """
-    if sol.basis is None or sol.col_status is None:
-        return None
     extra = m_le - (sol.basis.size - m_eq)
     art = n + m_le - extra  # first artificial column of the solved problem
     basis = np.where(sol.basis >= art, sol.basis + extra, sol.basis)

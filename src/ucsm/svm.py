@@ -123,8 +123,8 @@ class TrainReport:
 def train_svm(
     x_scaled: np.ndarray,
     y: np.ndarray,
-    config: SvmConfig = SvmConfig(),
-    feature_names: tuple[str, ...] | None = None,
+    config: SvmConfig,
+    feature_names: tuple[str, ...],
 ) -> tuple[Hyperplane, TrainReport]:
     """Dual coordinate descent on the class-weighted L1-loss linear SVM.
 
@@ -173,15 +173,12 @@ def train_svm(
             converged = True
             break
 
-    names = tuple(feature_names) if feature_names is not None else tuple(
-        f"x{j}" for j in range(d)
-    )
     h = Hyperplane(
         weights_scaled=w[:d].copy(),
         bias_scaled=float(w[d]),
         weights_physical=w[:d].copy(),
         bias_physical=float(w[d]),
-        feature_names=names,
+        feature_names=tuple(feature_names),
     )
     report = TrainReport(
         dual_trace=trace,
@@ -206,18 +203,12 @@ def unscale_hyperplane(h: Hyperplane, s: Standardizer) -> Hyperplane:
     w_phys = np.zeros(s.n_features)
     w_phys[s.kept] = h.weights_scaled / s.std
     b_phys = h.bias_scaled - float((h.weights_scaled * s.mean / s.std).sum())
-    names = h.feature_names
-    if len(names) == s.kept.size and s.kept.size != s.n_features:
-        full = [f"x{j}" for j in range(s.n_features)]
-        for pos, j in enumerate(s.kept):
-            full[j] = names[pos]
-        names = tuple(full)
     return Hyperplane(
         weights_scaled=h.weights_scaled,
         bias_scaled=h.bias_scaled,
         weights_physical=w_phys,
         bias_physical=b_phys,
-        feature_names=names,
+        feature_names=h.feature_names,
     )
 
 
@@ -279,8 +270,8 @@ def model_to_text(
     h: Hyperplane,
     s: Standardizer,
     *,
-    train_seed: int = 0,
-    margin: float = np.nan,
+    train_seed: int,
+    margin: float,
 ) -> str:
     lines = [
         "feature_names=" + ",".join(h.feature_names),

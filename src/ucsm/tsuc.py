@@ -34,7 +34,7 @@ SURROGATE_TOL = 1e-9
 FLOW_TOL_MW = 1e-6
 INTEGRALITY_TOL = 1e-6
 DEFAULT_GAP_TOL = 1e-6
-DEFAULT_NODE_LIMIT = 100_000
+MAX_NODES = 100_000
 BRUTE_FORCE_MAX_BITS = 16
 
 
@@ -56,7 +56,7 @@ class TsucInstance:
     horizon: int
     mode: TsucMode
     hyperplane: Hyperplane | None = None
-    pwl_segments: int = 8
+    pwl_segments: int = 4
     initial_status: np.ndarray | None = None  # u_{g,0}, default all off
 
     def __post_init__(self):
@@ -184,8 +184,8 @@ class _Milp:
         load = np.array([s.loads(case) for s in inst.scenarios])  # (S, N, T)
         wind = np.array([s.wind_mw for s in inst.scenarios])  # (S, W, T)
         self.load_total, self.wind_total = load.sum(axis=1), wind.sum(axis=1)
-        self.inj = self.mats.injection(load.transpose(1, 0, 2),
-                                       wind.transpose(1, 0, 2))
+        self.load, self.wind = load.transpose(1, 0, 2), wind.transpose(1, 0, 2)
+        self.inj = self.mats.injection(self.load, self.wind)
 
         # Objective: no-load cost on u (sum(pi) = 1), start-up on y,
         # shut-down on z, expected segment cost on delta; delta <= width.
@@ -401,10 +401,9 @@ def _solution(
         # Zero out numerical dust on offline units.
         p = np.where(u[:, None, :] == 0, 0.0, p)
         schedule = Schedule(u, *minimal_transitions(u, milp.inst.initial_status))
-        inj = milp.inj.copy()
-        np.add.at(inj, milp.mats.gen_bus, p)
-        angles = milp.mats.angles(inj.reshape(inj.shape[0], -1),
-                                  milp.inst.case.base_mva).reshape(inj.shape)
+        inj = milp.mats.injection(milp.load, milp.wind, p)
+        angles = milp.mats.angles(inj.reshape(inj.shape[0], -1)).reshape(
+            inj.shape)
     return TsucSolution(status=status, schedule=schedule, dispatch=p,
                         angles=angles, objective=objective, stats=stats)
 
@@ -510,7 +509,6 @@ def solve_tsuc(
     inst: TsucInstance,
     *,
     gap_tol: float = DEFAULT_GAP_TOL,
-    node_limit: int = DEFAULT_NODE_LIMIT,
     mats: GridMatrices | None = None,
 ) -> TsucSolution:
     """Best-bound branch-and-bound on the commitment binaries.
@@ -557,7 +555,7 @@ def solve_tsuc(
 
     # The node limit is checked on the heap's top before it is popped, so
     # the best open node stays in the gap.
-    while heap and heap[0][0] < cutoff() and stats.nodes < node_limit:
+    while heap and heap[0][0] < cutoff() and stats.nodes < MAX_NODES:
         _, _, fix, sol = heapq.heappop(heap)
         uvals = sol.x[:milp.n_u]
         j = int(np.argmax(np.abs(uvals - np.rint(uvals))))
@@ -598,7 +596,7 @@ def _dispatch_lp(
     return True, pi * float(sol.objective), p.reshape(T, G).T
 
 
-def brute_force_tsuc(inst: TsucInstance, mats: GridMatrices | None = None) -> TsucSolution:
+def brute_force_tsuc(inst: TsucInstance) -> TsucSolution:
     """Exact optimum by enumerating all binary commitment paths.
 
     Filters paths violating the transition/min-up/min-down logic, dispatches
@@ -610,7 +608,7 @@ def brute_force_tsuc(inst: TsucInstance, mats: GridMatrices | None = None) -> Ts
     if G * T > BRUTE_FORCE_MAX_BITS:
         raise TooLarge(f"brute force limited to G*T <= {BRUTE_FORCE_MAX_BITS}, "
                        f"got {G * T}")
-    milp = build_milp(inst, mats)
+    milp = build_milp(inst)
     stats = SolveStats()
     best = (np.inf, None, None)
     for bits in itertools.product((0, 1), repeat=G * T):

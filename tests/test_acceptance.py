@@ -120,7 +120,7 @@ def test_criterion_3_dc_consistency():
         tb = np.array([case.bus_index(ln.to_bus) for ln in case.lines])
         for k in range(1000):
             f_ptdf = mats.ptdf @ inj[k]
-            theta = mats.angles(inj[k], case.base_mva)
+            theta = mats.angles(inj[k])
             f_ang = (theta[fb] - theta[tb]) / x_over_base * case.base_mva
             worst_flow = max(worst_flow, float(np.max(np.abs(f_ptdf - f_ang))))
         # Nodal balance in returned DCOPF solutions.
@@ -201,7 +201,8 @@ def test_criterion_5_svm_correctness():
     # Two-point toy: (+1 at x=+1, -1 at x=-1) -> w=1, b=0, margin 1.
     x = np.array([[1.0], [-1.0]])
     y = np.array([1.0, -1.0])
-    h, rep = train_svm(x, y, SvmConfig(c_positive=10.0, c_negative=10.0))
+    h, rep = train_svm(x, y, SvmConfig(c_positive=10.0, c_negative=10.0),
+                       ("x0",))
     toy_ok = (abs(h.weights_scaled[0] - 1.0) <= TOL["svm_toy"]
               and abs(h.bias_scaled) <= TOL["svm_toy"]
               and abs(rep.margin - 1.0) <= TOL["svm_toy"])
@@ -212,7 +213,8 @@ def test_criterion_5_svm_correctness():
                   + 0.1 * rng.normal(size=200) > 0, 1.0, -1.0)
     std = fit_standardizer(xr)
     hs, rep2 = train_svm(std.transform(xr), yr,
-                         SvmConfig(tolerance=1e-8, max_passes=500))
+                         SvmConfig(tolerance=1e-8, max_passes=500),
+                         ("x0", "x1", "x2", "x3"))
     trace = np.asarray(rep2.dual_trace)
     mono_ok = bool(np.all(np.diff(trace) >= -1e-9))
     # Scaled/physical sign equivalence on every stored sample.

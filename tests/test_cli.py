@@ -5,6 +5,7 @@ from ucsm import cli
 from ucsm.grid import bundled_case_text, load_bundled_case
 from ucsm.scenarios import dataset_from_csv, generate_dataset
 from ucsm.svm import SvmConfig, model_from_text
+from ucsm.tsuc import DEFAULT_GAP_TOL, TsucInstance
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +246,35 @@ def test_train_label_outside_pm1_exit_2(data_file, tmp_path, capsys, label):
     assert f"line {row + 1}:" in capsys.readouterr().err
 
 
+ONE_BUS_CASE = """[config]
+ref_bus = 1
+[buses]
+1, 50.0
+[generators]
+1, 10, 150, 150, 150, 1, 1, 300, 100, 50, 18, 0.04
+[wind]
+1, 5, 20, 1, 6
+"""
+
+
+def test_one_bus_case(tmp_path, capsys):
+    """A case with one bus has no lines: it solves with no flow rows, and
+    gen-data cannot balance its labels, since no line can overload."""
+    path = tmp_path / "one.case"
+    path.write_text(ONE_BUS_CASE)
+    rc = cli.main(["solve", "--case", str(path), "--scenarios", "2",
+                   "--horizon", "3"])
+    assert rc == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "constraint rows: 0 flow" in out
+    assert "status: optimal" in out
+    rc = cli.main(["gen-data", "--case", str(path), "--samples", "50",
+                   "--out", str(tmp_path / "o.csv")])
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", [
     ["solve", "--scenarios", "1", "--horizon", "2"],
     ["gen-data", "--samples", "50"],
@@ -293,6 +323,14 @@ def test_train_defaults_are_svm_config_defaults():
     assert SvmConfig(c_negative=args.cneg_ratio, tolerance=args.tolerance,
                      max_passes=args.max_passes,
                      rng_seed=args.seed) == SvmConfig()
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_instance_defaults_are_library_defaults(command):
+    parser, _ = cli.build_parser()
+    args = parser.parse_args([command, "--case", "sixbus"])
+    assert args.segments == TsucInstance.pwl_segments
+    assert args.gap_tol == DEFAULT_GAP_TOL
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -122,7 +122,7 @@ def test_ptdf_matches_angle_flows(tiny_case, rng):
         inj = rng.normal(scale=40.0, size=tiny_case.n_buses)
         inj -= inj.mean()  # balanced
         via_ptdf = mats.ptdf @ inj
-        theta = mats.angles(inj, tiny_case.base_mva)
+        theta = mats.angles(inj)
         direct = np.array([
             (theta[tiny_case.bus_index(ln.from_bus)]
              - theta[tiny_case.bus_index(ln.to_bus)])
@@ -161,7 +161,7 @@ def test_angles_reproduce_injection(tiny_case, rng):
     mats = build_matrices(tiny_case)
     inj = rng.normal(scale=30.0, size=3)
     inj -= inj.mean()
-    theta = mats.angles(inj, tiny_case.base_mva)
+    theta = mats.angles(inj)
     assert theta[tiny_case.ref_index] == 0.0
     np.testing.assert_allclose(
         mats.b_matrix @ theta * tiny_case.base_mva, inj, atol=1e-6)
@@ -169,10 +169,10 @@ def test_angles_reproduce_injection(tiny_case, rng):
     batch = rng.normal(scale=30.0, size=(3, 5))
     batch -= batch.mean(axis=0)
     batch[:, 0] = inj
-    thetas = mats.angles(batch, tiny_case.base_mva)
+    thetas = mats.angles(batch)
     assert thetas.shape == batch.shape
     np.testing.assert_allclose(
-        thetas, np.column_stack([mats.angles(col, tiny_case.base_mva)
+        thetas, np.column_stack([mats.angles(col)
                                  for col in batch.T]), rtol=0, atol=1e-12)
 
 

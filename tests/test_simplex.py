@@ -309,7 +309,7 @@ def test_crash_basis_matches_row_rule(rng):
             else:
                 assert t.basis[i] == n + m_le + i
                 assert t.unit_sign[m_le + i] == (1.0 if r[i] >= 0 else -1.0)
-        np.testing.assert_array_equal(t.xb, np.abs(r))
+        np.testing.assert_array_equal(t.xval[t.basis], np.abs(r))
 
 
 def test_eta_update_matches_dense_rank_one(rng):
@@ -404,7 +404,8 @@ def test_refactor_inverts_mixed_bases(rng, m_eq, m_le):
         t.refactor()
         bmat = assembled_basis(t)
         np.testing.assert_allclose(t.binv @ bmat, np.eye(m), atol=1e-9)
-        np.testing.assert_allclose(bmat @ t.xb, t.nonbasic_rhs(), atol=1e-9)
+        np.testing.assert_allclose(bmat @ t.xval[t.basis], t.nonbasic_rhs(),
+                                   atol=1e-9)
         assert t.since_refactor == 0
     assert m == 0 or negative > 0
 

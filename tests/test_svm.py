@@ -11,7 +11,8 @@ def test_two_point_toy_recovers_unit_hyperplane():
     """Points (+1, +1) and (-1, -1): w=1, b=0, geometric margin 1."""
     x = np.array([[1.0], [-1.0]])
     y = np.array([1.0, -1.0])
-    h, rep = train_svm(x, y, SvmConfig(c_positive=10.0, c_negative=10.0))
+    h, rep = train_svm(x, y, SvmConfig(c_positive=10.0, c_negative=10.0),
+                       ("x0",))
     assert rep.converged
     assert h.weights_scaled[0] == pytest.approx(1.0, abs=1e-6)
     assert h.bias_scaled == pytest.approx(0.0, abs=1e-6)
@@ -21,19 +22,21 @@ def test_two_point_toy_recovers_unit_hyperplane():
 def test_dual_trace_monotone_nondecreasing(rng):
     x = rng.normal(size=(80, 3))
     y = np.where(x[:, 0] + 0.5 * x[:, 1] + 0.1 * rng.normal(size=80) > 0, 1.0, -1.0)
-    _, rep = train_svm(x, y, SvmConfig(tolerance=1e-8, max_passes=300))
+    _, rep = train_svm(x, y, SvmConfig(tolerance=1e-8, max_passes=300),
+                       ("x0", "x1", "x2"))
     trace = np.array(rep.dual_trace)
     assert np.all(np.diff(trace) >= -1e-9)
 
 
 def test_single_class_raises():
     with pytest.raises(SingleClassData):
-        train_svm(np.ones((4, 2)), np.ones(4))
+        train_svm(np.ones((4, 2)), np.ones(4), SvmConfig(), ("a", "b"))
 
 
 def test_label_count_mismatch():
     with pytest.raises(DimensionMismatch):
-        train_svm(np.ones((4, 2)), np.array([1.0, -1.0]))
+        train_svm(np.ones((4, 2)), np.array([1.0, -1.0]), SvmConfig(),
+                  ("a", "b"))
 
 
 def test_standardizer_drops_constant_features():
@@ -53,7 +56,8 @@ def test_sign_equivalence_scaled_vs_physical(rng):
     if len(set(y)) < 2:
         pytest.skip("degenerate draw")
     std = fit_standardizer(x)
-    hs, _ = train_svm(std.transform(x), y, SvmConfig())
+    hs, _ = train_svm(std.transform(x), y, SvmConfig(),
+                      ("x0", "x1", "x2", "x3"))
     hp = unscale_hyperplane(hs, std)
     scaled_sign = np.sign(std.transform(x) @ hs.weights_scaled + hs.bias_scaled)
     phys_sign = np.sign(x @ hp.weights_physical + hp.bias_physical)
@@ -64,7 +68,7 @@ def test_unscale_assigns_zero_to_dropped_features():
     x = np.array([[1.0, 7.0], [2.0, 7.0], [3.0, 7.0], [4.0, 7.0]])
     y = np.array([-1.0, -1.0, 1.0, 1.0])
     std = fit_standardizer(x)
-    hs, _ = train_svm(std.transform(x), y, SvmConfig())
+    hs, _ = train_svm(std.transform(x), y, SvmConfig(), ("x0", "x1"))
     hp = unscale_hyperplane(hs, std)
     assert hp.weights_physical.size == 2
     assert hp.weights_physical[1] == 0.0
@@ -77,8 +81,10 @@ def test_class_weighting_reduces_false_positives(rng):
     y = np.where(x[:, 0] + margin_noise > 0, 1.0, -1.0)
     std = fit_standardizer(x)
     z = std.transform(x)
-    h_flat, _ = train_svm(z, y, SvmConfig(c_positive=1.0, c_negative=1.0))
-    h_weighted, _ = train_svm(z, y, SvmConfig(c_positive=1.0, c_negative=50.0))
+    h_flat, _ = train_svm(z, y, SvmConfig(c_positive=1.0, c_negative=1.0),
+                          ("x0", "x1"))
+    h_weighted, _ = train_svm(z, y, SvmConfig(c_positive=1.0, c_negative=50.0),
+                              ("x0", "x1"))
     fp_flat = evaluate(unscale_hyperplane(h_flat, std), x, y).false_pos
     fp_weighted = evaluate(unscale_hyperplane(h_weighted, std), x, y).false_pos
     assert fp_weighted <= fp_flat

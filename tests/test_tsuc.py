@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ucsm import tsuc
 from ucsm.errors import FeatureMismatch, TooLarge
 from ucsm.grid import build_matrices
 from ucsm.scenarios import build_scenarios, feature_vector
@@ -103,14 +104,15 @@ def test_full_matches_brute_force(tiny_case):
     assert got.objective == pytest.approx(ref.objective, rel=1e-6)
 
 
-def test_node_limit_keeps_open_bound_in_gap(tiny_case):
+def test_node_limit_keeps_open_bound_in_gap(tiny_case, monkeypatch):
     """Stopped at the root, the search still reports the root's bound:
     the open node stays in the gap."""
     scens = build_scenarios(tiny_case, 2, 4, 2)
     inst = TsucInstance(tiny_case, scens, 4, TsucMode.FULL_NETWORK,
                         pwl_segments=4)
     assert solve_tsuc(inst).stats.nodes > 1
-    sol = solve_tsuc(inst, node_limit=1)
+    monkeypatch.setattr(tsuc, "MAX_NODES", 1)
+    sol = solve_tsuc(inst)
     assert sol.status is TsucStatus.NODE_LIMIT
     assert sol.stats.gap > 1e-6
 
