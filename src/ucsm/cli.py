@@ -186,7 +186,8 @@ def cmd_bench(args) -> int:
     if args.out:
         Path(args.out).write_text(report.to_csv())
         print(f"wrote {args.out}")
-    return EXIT_OK
+    paired = report.cost_errors_pct().size
+    return EXIT_DATA if report.errors and not paired else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +246,7 @@ def _suite_dcopf(case, rng) -> list[str]:
         z = grid[rng.integers(grid.size)]
         load = case.loads * rng.uniform(0.7, 1.3, size=case.n_buses)
         res = solve_dcopf(case, sc.wind_realization(mu, sig, z), load,
-                          True, mats=mats)
+                          mats=mats)
         if res.status is not DcopfStatus.OPTIMAL:
             continue
         # nodal balance: B theta = injection

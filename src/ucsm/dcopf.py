@@ -1,22 +1,24 @@
-"""DC optimal power flow in constrained and line-limit-relaxed modes.
+"""DC optimal power flow, with and without the thermal line limits.
 
 All thermal units are online and dispatched within [p_min, p_max]; wind is
 must-take; the network is reduced through the PTDF so the LP decision
 variables are the piecewise-linear dispatch segments only. Angles are
-recovered from the reduced susceptance matrix afterwards.
+recovered from the reduced susceptance matrix afterwards. Without line
+limits the dispatch is a merit-order fill, batched, with no LP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DimensionMismatch
 from .grid import GridMatrices, SystemCase, build_matrices
 from .pwl import pwl_cost
-from .simplex import LpProblem, LpStatus, solve_lp
+from .simplex import FEAS_TOL, LpProblem, LpStatus, solve_lp
 
 FEASIBILITY_TOL_MW = 1e-6
 SEGMENTS = 8  # PWL cost segments per generator, the LP's columns
@@ -55,19 +57,52 @@ def dispatch_problem(slopes, widths, on, net, coef, rhs) -> LpProblem:
         hi=np.tile(widths.ravel(), T) * np.repeat(np.ravel(on), K))
 
 
+@lru_cache(maxsize=8)
+def dispatch_segments(case: SystemCase, k: int = SEGMENTS) -> tuple:
+    """A case's units as PWL segments: (G, k) slopes and widths, and per unit
+    its p_min and its cost there, no-load cost included. Built once per
+    case and ``k`` (gen-data solves thousands of DCOPFs on one case) and
+    shared, so the arrays are read-only."""
+    curves = [pwl_cost(g, k) for g in case.generators]
+    segs = tuple(np.array(v) for v in (
+        [c.slopes for c in curves], [c.widths for c in curves],
+        [g.p_min for g in case.generators],
+        [g.c0 + c.base_value for g, c in zip(case.generators, curves)]))
+    for a in segs:
+        a.flags.writeable = False
+    return segs
+
+
+def merit_order_dispatch(slopes, widths, p_min, net_mw):
+    """The line-limit-free DCOPF for n net loads (MW of load net of wind and
+    of the summed p_min): one balance row, so the LP optimum fills the
+    (G, K) segments in slope order. Returns the (n, G) dispatch and an (n,)
+    mask, False where the LP is infeasible: the net load lies outside
+    [0, summed widths] by more than ``FEAS_TOL`` relative to it. Tied
+    slopes make the optimum non-unique; the stable sort fills ties in unit
+    order."""
+    net = np.asarray(net_mw, dtype=float)
+    order = np.argsort(slopes, axis=None, kind="stable")
+    w = widths.ravel()[order]
+    top = np.cumsum(w)
+    fill = np.empty((net.size, w.size))
+    fill[:, order] = np.clip(net[:, None] - np.concatenate(([0.0], top[:-1])),
+                             0.0, w)
+    ok = np.maximum(-net, net - top[-1]) <= FEAS_TOL * (1.0 + np.abs(net))
+    return p_min + fill.reshape(net.size, *slopes.shape).sum(axis=2), ok
+
+
 def solve_dcopf(
     case: SystemCase,
     wind_mw: np.ndarray,
     load_mw: np.ndarray,
-    enforce_limits: bool = True,
     *,
     mats: GridMatrices | None = None,
 ) -> DcopfResult:
-    """Least-cost dispatch under DC power flow.
+    """Least-cost dispatch under DC power flow and the thermal line limits.
 
     ``wind_mw`` is one value per wind unit (must-take); ``load_mw`` one value
-    per bus. With ``enforce_limits`` off, only the power balance and the
-    generator capability ranges constrain the dispatch.
+    per bus.
     """
     wind_mw = np.asarray(wind_mw, dtype=float)
     load_mw = np.asarray(load_mw, dtype=float)
@@ -81,17 +116,12 @@ def solve_dcopf(
         )
     if mats is None:
         mats = build_matrices(case)
-    curves = [pwl_cost(g, SEGMENTS) for g in case.generators]
-    pmin = np.array([g.p_min for g in case.generators])
-
-    coef, rhs = np.zeros((0, case.n_gens)), np.zeros(0)
-    if enforce_limits:
-        base_flow = mats.ptdf @ mats.injection(load_mw, wind_mw, pmin)
-        coef, rhs = mats.flow_rows(case.line_limits, base_flow)
+    slopes, widths, pmin, fixed = dispatch_segments(case)
+    base_flow = mats.ptdf @ mats.injection(load_mw, wind_mw, pmin)
     sol = solve_lp(dispatch_problem(
-        np.array([c.slopes for c in curves]),
-        np.array([c.widths for c in curves]), np.ones((1, case.n_gens)),
-        np.array([load_mw.sum() - wind_mw.sum() - pmin.sum()]), coef, rhs))
+        slopes, widths, np.ones((1, case.n_gens)),
+        np.array([load_mw.sum() - wind_mw.sum() - pmin.sum()]),
+        *mats.flow_rows(case.line_limits, base_flow)))
     if sol.status is not LpStatus.OPTIMAL:
         empty = np.zeros(0)
         return DcopfResult(DcopfStatus.INFEASIBLE, empty, empty, empty, np.inf)
@@ -100,9 +130,9 @@ def solve_dcopf(
     injection = mats.injection(load_mw, wind_mw, dispatch)
     flows = mats.ptdf @ injection
     angles = mats.angles(injection)
-    fixed = sum(g.c0 + c.base_value for g, c in zip(case.generators, curves))
+    # Left to right in unit order: numpy sums eight or more terms pairwise.
     return DcopfResult(DcopfStatus.OPTIMAL, dispatch, angles, flows,
-                       float(sol.objective + fixed))
+                       float(sol.objective + sum(fixed.tolist())))
 
 
 def check_feasibility(case: SystemCase, flows_mw: np.ndarray) -> FeasibilityLabel:
@@ -113,8 +143,7 @@ def check_feasibility(case: SystemCase, flows_mw: np.ndarray) -> FeasibilityLabe
             f"expected {case.n_lines} flows, got {flows_mw.size}"
         )
     excess = np.abs(flows_mw) - case.line_limits
-    worst = float(max(0.0, excess.max())) if excess.size else 0.0
-    violating = [int(i) for i in np.nonzero(excess > FEASIBILITY_TOL_MW)[0]]
-    value = -1 if violating else 1
-    return FeasibilityLabel(value=value, worst_violation=worst,
+    violating = np.flatnonzero(excess > FEASIBILITY_TOL_MW).tolist()
+    return FeasibilityLabel(value=-1 if violating else 1,
+                            worst_violation=float(excess.max(initial=0.0)),
                             violating_lines=violating)

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcopf import DcopfStatus, check_feasibility, solve_dcopf
+from .dcopf import (DcopfStatus, check_feasibility, dispatch_segments,
+                    merit_order_dispatch, solve_dcopf)
 from .errors import (BalancingFailed, DimensionMismatch, ParseError,
                      finite_float)
 from .grid import GridMatrices, SystemCase, build_matrices
@@ -124,7 +125,7 @@ def generate_dataset(
             if n_pos >= cap:
                 break
             wind = wind_realization(mu, sigma, z)
-            res = solve_dcopf(case, wind, load, True, mats=mats)
+            res = solve_dcopf(case, wind, load, mats=mats)
             if res.status is DcopfStatus.OPTIMAL:
                 rows.append(feature_vector(mu, sigma, res.dispatch))
                 labels.append(1)
@@ -132,27 +133,31 @@ def generate_dataset(
         draw += 1
 
     # Step 2: relaxed DCOPF, z sampled; labels from the line-limit check.
-    attempts = 0
+    # A round is drawn whole and dispatched in merit order in one batch; it
+    # is then kept sample by sample, as the caps allow.
+    slopes, widths, pmin, _ = dispatch_segments(case)
     batch = max(1, n_target // 10)
     for rnd in range(BALANCE_ROUNDS):
         if _balanced(n_pos, n_neg, n_target):
             break
+        draws = []
         for k in range(batch):
             rng = _rng(rng_seed, 2, rnd * batch + k)
             mu, sigma, mult = _draw_operating_point(case, rng)
             z = grid[rng.integers(grid.size)]
-            load = case.loads * mult
-            wind = wind_realization(mu, sigma, z)
-            res = solve_dcopf(case, wind, load, False, mats=mats)
-            attempts += 1
-            if res.status is not DcopfStatus.OPTIMAL:
-                continue
-            label = check_feasibility(case, res.flows).value
+            load, wind = case.loads * mult, wind_realization(mu, sigma, z)
+            draws.append((mu, sigma, load, wind,
+                          load.sum() - wind.sum() - pmin.sum()))
+        mu, sigma, load, wind, net = map(np.array, zip(*draws))
+        dispatch, ok = merit_order_dispatch(slopes, widths, pmin, net)
+        flows = mats.ptdf @ mats.injection(load.T, wind.T, dispatch.T)
+        for k in np.flatnonzero(ok):
+            label = check_feasibility(case, flows[:, k]).value
             if label == 1 and n_pos >= cap:
                 continue
             if label == -1 and n_neg >= cap:
                 continue
-            rows.append(feature_vector(mu, sigma, res.dispatch))
+            rows.append(feature_vector(mu[k], sigma[k], dispatch[k]))
             labels.append(label)
             if label == 1:
                 n_pos += 1
@@ -160,7 +165,7 @@ def generate_dataset(
                 n_neg += 1
     if not _balanced(n_pos, n_neg, n_target):
         ratio = min(n_pos, n_neg) / max(n_pos, n_neg, 1)
-        raise BalancingFailed(attempts, ratio)
+        raise BalancingFailed(BALANCE_ROUNDS * batch, ratio)
 
     n = len(rows)
     n_train = round(TRAIN_FRACTION * n)

@@ -22,10 +22,9 @@ from enum import Enum
 
 import numpy as np
 
-from .dcopf import dispatch_problem
+from .dcopf import dispatch_problem, dispatch_segments
 from .errors import FeatureMismatch, TooLarge
 from .grid import GridMatrices, SystemCase, build_matrices
-from .pwl import PwlCost, pwl_cost
 from .scenarios import Scenario
 from .simplex import LpProblem, LpSolution, LpStatus, remap_start, solve_lp
 from .svm import Hyperplane
@@ -162,10 +161,8 @@ class _Milp:
         self.mats = mats if mats is not None else build_matrices(case)
         G, S, T = case.n_gens, len(inst.scenarios), inst.horizon
         self.G, self.S, self.T = G, S, T
-        self.curves: list[PwlCost] = [
-            pwl_cost(g, inst.pwl_segments) for g in case.generators
-        ]
         K = self.K = inst.pwl_segments
+        self.slopes, self.widths, self.pmin, fixed = dispatch_segments(case, K)
 
         self.n_u = G * T
         self.u_idx = np.arange(self.n_u).reshape(T, G).T
@@ -173,10 +170,7 @@ class _Milp:
             S, T, G, K).transpose(2, 0, 1, 3)
         self.ncols = 3 * self.n_u + self.d_idx.size
 
-        self.pmin = np.array([g.p_min for g in case.generators])
         self.pmax = np.array([g.p_max for g in case.generators])
-        self.widths = np.array([c.widths for c in self.curves])  # (G, K)
-        self.slopes = np.array([c.slopes for c in self.curves])  # (G, K)
 
         # Scenario data: totals per (s, t) and the injection before dispatch,
         # an (N, S, T) view of scenario-major memory, the order in which the
@@ -192,8 +186,7 @@ class _Milp:
         gens = case.generators
         pi = np.array([s.probability for s in inst.scenarios])
         self.c = np.zeros(self.ncols)
-        self.c[self.u_idx] = [[g.c0 + cv.base_value]
-                              for g, cv in zip(gens, self.curves)]
+        self.c[self.u_idx] = fixed[:, None]
         self.c[self.n_u + self.u_idx] = [[g.startup_cost] for g in gens]
         self.c[2 * self.n_u + self.u_idx] = [[g.shutdown_cost] for g in gens]
         self.c[self.d_idx] = pi[:, None, None] * self.slopes[:, None, None, :]

@@ -457,6 +457,16 @@ def test_validate_tsuc_suite(capsys):
     assert "tsuc: PASS" in capsys.readouterr().out
 
 
+def test_bench_every_trial_failed_exit_3(capsys):
+    # ring3's sampler cannot balance its labels, so no trial pairs.
+    rc = cli.main(["bench", "--case", "ring3", "--trials", "1",
+                   "--samples", "60", "--scenarios", "1", "--horizon", "2",
+                   "--repeats", "1"])
+    assert rc == cli.EXIT_DATA
+    out = capsys.readouterr().out
+    assert "paired trials: 0" in out and "class balancing failed" in out
+
+
 def test_bench_runs_and_writes_csv(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     rc = cli.main(["bench", "--case", "sixbus", "--trials", "1",

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
-from ucsm.dcopf import SEGMENTS, DcopfStatus, check_feasibility, solve_dcopf
+from ucsm.dcopf import (SEGMENTS, DcopfStatus, check_feasibility,
+                        dispatch_problem, dispatch_segments,
+                        merit_order_dispatch, solve_dcopf)
 from ucsm.errors import DimensionMismatch
 from ucsm.grid import build_matrices
+from ucsm.pwl import pwl_cost
 from ucsm.scenarios import build_scenarios
+from ucsm.simplex import FEAS_TOL, LpStatus, solve_lp
 from ucsm.tsuc import TsucInstance, TsucMode, _dispatch_lp, build_milp
 
 
@@ -34,14 +38,23 @@ def test_constrained_respects_line_limits():
         assert np.all(np.abs(res.flows) <= case.line_limits + 1e-6)
 
 
+def _relaxed(case, wind, load):
+    """The line-limit-free dispatch of one operating point, and its flows."""
+    slopes, widths, pmin, _ = dispatch_segments(case)
+    dispatch, ok = merit_order_dispatch(
+        slopes, widths, pmin, [load.sum() - wind.sum() - pmin.sum()])
+    assert ok[0]
+    mats = build_matrices(case)
+    return dispatch[0], mats.ptdf @ mats.injection(load, wind, dispatch[0])
+
+
 def test_relaxed_can_violate_limits():
     from tests.conftest import make_tiny_case
     case = make_tiny_case(line_limit=10.0)
-    res = solve_dcopf(case, np.array([0.0]), case.loads, enforce_limits=False)
-    assert res.status is DcopfStatus.OPTIMAL
+    _, flows = _relaxed(case, np.array([0.0]), case.loads)
     # With a 10 MW limit on line 1-2 and 75 MW of load, the cheap unit's
     # unconstrained dispatch overloads the network.
-    label = check_feasibility(case, res.flows)
+    label = check_feasibility(case, flows)
     assert label.value == -1
 
 
@@ -50,10 +63,60 @@ def test_relaxed_cost_lower_or_equal(tiny_case):
     case = make_tiny_case(line_limit=28.0)
     wind = np.array([5.0])
     con = solve_dcopf(case, wind, case.loads)
-    rel = solve_dcopf(case, wind, case.loads, enforce_limits=False)
-    assert rel.status is DcopfStatus.OPTIMAL
+    dispatch, _ = _relaxed(case, wind, case.loads)
+    cost = sum(g.c0 + pwl_cost(g, SEGMENTS).value(p)
+               for g, p in zip(case.generators, dispatch))
     if con.status is DcopfStatus.OPTIMAL:
-        assert rel.objective <= con.objective + 1e-6
+        assert cost <= con.objective + 1e-6
+
+
+def _relaxed_lp(slopes, widths, net):
+    """The segment LP that merit_order_dispatch replaces: one balance row."""
+    G = len(slopes)
+    return solve_lp(dispatch_problem(slopes, widths, np.ones((1, G)), [net],
+                                     np.zeros((0, G)), np.zeros(0)))
+
+
+@pytest.mark.parametrize("name", ["tiny", "sixbus", "grid24"])
+def test_merit_order_matches_lp(name, tiny_case, sixbus, grid24):
+    """Same status as the LP at, inside and past both ends of [0, sum of
+    widths], and the same dispatch bytes where it is optimal. The LP's
+    tolerance is relative: half of it past the top is still optimal."""
+    case = {"tiny": tiny_case, "sixbus": sixbus, "grid24": grid24}[name]
+    slopes, widths, pmin, _ = dispatch_segments(case)
+    total = widths.sum()
+    nets = np.concatenate([
+        [-50.0, -1e-12, 0.0, 1e-12], np.linspace(0.0, total, 41)[1:-1],
+        [total - 1e-12, total, total + 1e-12, total * (1 + FEAS_TOL / 2),
+         total + 50.0]])
+    dispatch, ok = merit_order_dispatch(slopes, widths, pmin, nets)
+    assert not ok[0] and not ok[-1] and ok[1:-1].all()
+    for net, p, feasible in zip(nets, dispatch, ok):
+        sol = _relaxed_lp(slopes, widths, net)
+        assert (sol.status is LpStatus.OPTIMAL) == feasible, net
+        if feasible:
+            lp = pmin + sol.x.reshape(-1, SEGMENTS).sum(axis=1)
+            assert np.array_equal(p, lp), net
+
+
+def test_merit_order_tied_slopes_reach_lp_objective():
+    """Tied slopes make the optimum non-unique: the fill and the LP split
+    some ties differently here, so only their costs must agree."""
+    slopes = np.array([[10.0, 20.0, 30.0], [10.0, 30.0, 30.0], [20.0, 20.0, 30.0]])
+    widths = np.array([[1.0, 7.0, 6.0], [7.0, 2.0, 1.0], [7.0, 1.0, 5.0]])
+    pmin = np.array([1.0, 2.0, 3.0])
+    starts = np.cumsum(widths, axis=1) - widths
+    moved = 0
+    for net in np.linspace(0.0, widths.sum(), 23):
+        dispatch, ok = merit_order_dispatch(slopes, widths, pmin, [net])
+        assert ok[0]
+        fill = np.clip((dispatch[0] - pmin)[:, None] - starts, 0.0, widths)
+        sol = _relaxed_lp(slopes, widths, net)
+        assert sol.status is LpStatus.OPTIMAL
+        assert float(np.sum(slopes * fill)) == pytest.approx(
+            sol.objective, rel=1e-12, abs=1e-12)
+        moved += not np.allclose(fill.ravel(), sol.x)
+    assert moved
 
 
 def test_nodal_balance_residuals(tiny_case, rng):
@@ -114,8 +177,7 @@ def test_matches_tsuc_dispatch_lp(sixbus, grid24):
             if not feasible:
                 continue
             solved += 1
-            fixed = sum(g.c0 + cv.base_value
-                        for g, cv in zip(case.generators, milp.curves))
+            fixed = milp.c[milp.u_idx[:, 0]].sum()
             assert cost + fixed == pytest.approx(res.objective, rel=1e-12)
             np.testing.assert_allclose(p[:, 0], res.dispatch, rtol=1e-12,
                                        atol=1e-9)

@@ -4,6 +4,7 @@ import pytest
 from ucsm import tsuc
 from ucsm.errors import FeatureMismatch, TooLarge
 from ucsm.grid import build_matrices
+from ucsm.pwl import pwl_cost
 from ucsm.scenarios import build_scenarios, feature_vector
 from ucsm.simplex import LpStatus, solve_lp
 from ucsm.svm import Hyperplane
@@ -344,7 +345,7 @@ def _reference_rows(milp, x):
     ref = {"c": np.zeros(ncols), "lo": np.zeros(ncols), "hi": np.ones(ncols)}
     pi = [s.probability for s in inst.scenarios]
     for g, gen in enumerate(case.generators):
-        curve = milp.curves[g]
+        curve = pwl_cost(gen, inst.pwl_segments)
         for t in range(T):
             ref["c"][u_col(g, t)] = gen.c0 + curve.base_value
             ref["c"][n_u + u_col(g, t)] = gen.startup_cost
