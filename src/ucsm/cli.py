@@ -245,17 +245,18 @@ def _suite_dcopf(case, rng) -> list[str]:
         sig = np.array([rng.uniform(*w.sigma_interval) for w in case.wind_units])
         z = grid[rng.integers(grid.size)]
         load = case.loads * rng.uniform(0.7, 1.3, size=case.n_buses)
-        res = solve_dcopf(case, sc.wind_realization(mu, sig, z), load,
-                          mats=mats)
+        wind = sc.wind_realization(mu, sig, z)
+        res = solve_dcopf(case, wind, load, mats=mats)
         if res.status is not DcopfStatus.OPTIMAL:
             continue
         # nodal balance: B theta = injection
         inj = -load.copy()
         for wi, w in enumerate(case.wind_units):
-            inj[case.bus_index(w.bus)] += sc.wind_realization(mu, sig, z)[wi]
+            inj[case.bus_index(w.bus)] += wind[wi]
         for gi, g in enumerate(case.generators):
             inj[case.bus_index(g.bus)] += res.dispatch[gi]
-        resid = mats.b_matrix @ res.angles * case.base_mva - inj
+        theta = mats.angles(mats.injection(load, wind, res.dispatch))
+        resid = mats.b_matrix @ theta * case.base_mva - inj
         if np.max(np.abs(resid)) > 1e-6:
             fails.append(f"dcopf {case.name} draw {k}: balance residual "
                          f"{np.max(np.abs(resid)):.2e}")

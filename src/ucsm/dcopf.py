@@ -2,9 +2,10 @@
 
 All thermal units are online and dispatched within [p_min, p_max]; wind is
 must-take; the network is reduced through the PTDF so the LP decision
-variables are the piecewise-linear dispatch segments only. Angles are
-recovered from the reduced susceptance matrix afterwards. Without line
-limits the dispatch is a merit-order fill, batched, with no LP.
+variables are the piecewise-linear dispatch segments only, and a result
+is the dispatch and its cost: a caller that wants flows or angles forms
+them from the dispatch's injection (``GridMatrices.injection``). Without
+line limits the dispatch is a merit-order fill, batched, with no LP.
 """
 
 from __future__ import annotations
@@ -33,16 +34,7 @@ class DcopfStatus(Enum):
 class DcopfResult:
     status: DcopfStatus
     dispatch: np.ndarray  # MW per generator
-    angles: np.ndarray    # rad per bus, ref fixed at zero
-    flows: np.ndarray     # MW per line
     objective: float
-
-
-@dataclass
-class FeasibilityLabel:
-    value: int                 # +1 feasible, -1 infeasible
-    worst_violation: float     # MW
-    violating_lines: list[int]
 
 
 def dispatch_problem(slopes, widths, on, net, coef, rhs) -> LpProblem:
@@ -123,27 +115,21 @@ def solve_dcopf(
         np.array([load_mw.sum() - wind_mw.sum() - pmin.sum()]),
         *mats.flow_rows(case.line_limits, base_flow)))
     if sol.status is not LpStatus.OPTIMAL:
-        empty = np.zeros(0)
-        return DcopfResult(DcopfStatus.INFEASIBLE, empty, empty, empty, np.inf)
-
-    dispatch = pmin + sol.x.reshape(-1, SEGMENTS).sum(axis=1)
-    injection = mats.injection(load_mw, wind_mw, dispatch)
-    flows = mats.ptdf @ injection
-    angles = mats.angles(injection)
+        return DcopfResult(DcopfStatus.INFEASIBLE, np.zeros(0), np.inf)
     # Left to right in unit order: numpy sums eight or more terms pairwise.
-    return DcopfResult(DcopfStatus.OPTIMAL, dispatch, angles, flows,
+    return DcopfResult(DcopfStatus.OPTIMAL,
+                       pmin + sol.x.reshape(-1, SEGMENTS).sum(axis=1),
                        float(sol.objective + sum(fixed.tolist())))
 
 
-def check_feasibility(case: SystemCase, flows_mw: np.ndarray) -> FeasibilityLabel:
-    """Label a flow vector against the thermal line limits."""
+def check_feasibility(case: SystemCase, flows_mw: np.ndarray) -> np.ndarray:
+    """Label each column of (L, ...) line flows: +1 within the thermal
+    limits, -1 where any line exceeds its limit by more than
+    ``FEASIBILITY_TOL_MW``."""
     flows_mw = np.asarray(flows_mw, dtype=float)
-    if flows_mw.size != case.n_lines:
+    if flows_mw.ndim == 0 or len(flows_mw) != case.n_lines:
         raise DimensionMismatch(
-            f"expected {case.n_lines} flows, got {flows_mw.size}"
+            f"expected {case.n_lines} flows, got shape {flows_mw.shape}"
         )
-    excess = np.abs(flows_mw) - case.line_limits
-    violating = np.flatnonzero(excess > FEASIBILITY_TOL_MW).tolist()
-    return FeasibilityLabel(value=-1 if violating else 1,
-                            worst_violation=float(excess.max(initial=0.0)),
-                            violating_lines=violating)
+    excess = np.abs(np.moveaxis(flows_mw, 0, -1)) - case.line_limits
+    return np.where((excess > FEASIBILITY_TOL_MW).any(axis=-1), -1, 1)

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the number reader every
-input parser uses."""
+"""Exception types shared across the package, and the number and field
+readers every input parser uses."""
 
 import math
 
@@ -11,6 +11,20 @@ def finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{text.strip()!r} is not a finite number")
     return value
+
+
+def field_reader(fields: dict[str, tuple[int, str]]):
+    """read(key, conv, default="") over ``key -> (1-based line, text)``
+    fields: conv of the key's text, or of ``default`` when it is missing.
+    A ValueError from conv becomes a ParseError at the key's line (0 when
+    the key is missing)."""
+    def read(key, conv, default=""):
+        lineno, raw = fields.get(key, (0, default))
+        try:
+            return conv(raw)
+        except ValueError:
+            raise ParseError(lineno, f"bad value for {key}: {raw!r}") from None
+    return read
 
 
 class UcsmError(Exception):

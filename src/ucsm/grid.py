@@ -9,7 +9,7 @@ interface.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -193,8 +193,7 @@ def _connected(ids: list[int], lines) -> bool:
 class GridMatrices:
     b_matrix: np.ndarray   # |B| x |B| susceptance Laplacian (1/x, per unit)
     ptdf: np.ndarray       # |L| x |B|, MW flow per MW injection
-    ref_index: int
-    reduced_lu: tuple = field(repr=False)  # LU of b_matrix, ref row/col removed
+    reactance: np.ndarray  # |B| x |B| reduced b_matrix inverse, ref row/col 0
     gen_bus: np.ndarray    # (G,) bus index of each generator
     wind_bus: np.ndarray   # (W,) bus index of each wind unit
     base_mva: float        # the per-unit base of b_matrix
@@ -220,19 +219,16 @@ class GridMatrices:
         return (np.concatenate([gen, -gen]),
                 np.concatenate([limits - base_mw, limits + base_mw]))
 
-    def angles(self, injection_mw: np.ndarray) -> np.ndarray:
-        """Bus voltage angles (rad) for a balanced MW injection vector, or
-        for each column of an (N, k) matrix of them."""
-        p = np.asarray(injection_mw, dtype=float) / self.base_mva
-        keep = np.arange(p.shape[0]) != self.ref_index
-        theta = np.zeros(p.shape)
-        theta[keep] = lu_backsolve(*self.reduced_lu, p[keep])
-        return theta
+    def angles(self, injection_mw) -> np.ndarray:
+        """Bus voltage angles (rad), ref at zero, of balanced MW injections
+        with buses on axis 0 and any trailing shape."""
+        return np.tensordot(self.reactance,
+                            np.divide(injection_mw, self.base_mva), 1)
 
 
 def build_matrices(case: SystemCase) -> GridMatrices:
-    """Susceptance Laplacian, PTDF matrix, the reduced Laplacian's LU, and
-    the bus index of every generator and wind unit."""
+    """Susceptance Laplacian, its reactance matrix and the PTDF built from
+    it, and the bus index of every generator and wind unit."""
     def at(bus_ids) -> np.ndarray:
         return np.array([case.bus_index(b) for b in bus_ids], dtype=int)
 
@@ -245,8 +241,7 @@ def build_matrices(case: SystemCase) -> GridMatrices:
     np.add.at(bmat, (np.column_stack([fb, tb, fb, tb]),
                      np.column_stack([fb, tb, tb, fb])),
               (1.0 / x)[:, None] * [1.0, 1.0, -1.0, -1.0])
-    ref = case.ref_index
-    keep = np.arange(nb) != ref
+    keep = np.arange(nb) != case.ref_index
     lu = lu_factor(bmat[np.ix_(keep, keep)])  # SingularMatrix if disconnected
     # X[k] = angles for a unit injection at bus k (ref column zero); a
     # one-bus case has none.
@@ -256,7 +251,7 @@ def build_matrices(case: SystemCase) -> GridMatrices:
     xfull = np.zeros((nb, nb))
     xfull[np.ix_(keep, keep)] = xred
     ptdf = (xfull[fb] - xfull[tb]) / x[:, None]
-    return GridMatrices(bmat, ptdf, ref, lu,
+    return GridMatrices(bmat, ptdf, xfull,
                         gen_bus=at(g.bus for g in case.generators),
                         wind_bus=at(w.bus for w in case.wind_units),
                         base_mva=case.base_mva)

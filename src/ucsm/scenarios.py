@@ -15,7 +15,7 @@ import numpy as np
 from .dcopf import (DcopfStatus, check_feasibility, dispatch_segments,
                     merit_order_dispatch, solve_dcopf)
 from .errors import (BalancingFailed, DimensionMismatch, ParseError,
-                     finite_float)
+                     field_reader, finite_float)
 from .grid import GridMatrices, SystemCase, build_matrices
 
 Z_MIN, Z_MAX, Z_STEP = -4.0, 4.0, 0.1
@@ -150,9 +150,10 @@ def generate_dataset(
                           load.sum() - wind.sum() - pmin.sum()))
         mu, sigma, load, wind, net = map(np.array, zip(*draws))
         dispatch, ok = merit_order_dispatch(slopes, widths, pmin, net)
-        flows = mats.ptdf @ mats.injection(load.T, wind.T, dispatch.T)
+        round_labels = check_feasibility(
+            case, mats.ptdf @ mats.injection(load.T, wind.T, dispatch.T))
         for k in np.flatnonzero(ok):
-            label = check_feasibility(case, flows[:, k]).value
+            label = int(round_labels[k])
             if label == 1 and n_pos >= cap:
                 continue
             if label == -1 and n_neg >= cap:
@@ -269,12 +270,7 @@ def dataset_from_csv(text: str) -> Dataset:
     if header is None:
         raise DimensionMismatch("dataset file has no header row")
 
-    def _meta(key, conv, default=""):
-        lineno, raw = meta.get(key, (0, default))
-        try:
-            return conv(raw)
-        except ValueError:
-            raise ParseError(lineno, f"bad value for {key}: {raw!r}") from None
+    _meta = field_reader(meta)
 
     def _ints(raw):
         return np.array([int(v) for v in raw.split(",") if v], dtype=int)

@@ -351,6 +351,14 @@ def solve_lp(
     c_scale = 1.0 + float(np.max(np.abs(problem.c))) if n else 1.0
     b_scale = 1.0 + (float(np.max(np.abs(t.b))) if m else 0.0)
 
+    def can_move(g, tol) -> np.ndarray:
+        """Movable nonbasic columns that improve by moving in direction g:
+        up from the lower bound, down from the upper, either way if free."""
+        sl = t.status[:ne]
+        return movable & (((sl == _AT_LO) & (g > tol))
+                          | ((sl == _AT_HI) & (g < -tol))
+                          | ((sl == _FREE) & (np.abs(g) > tol)))
+
     def run_phase(cvec, phase: int) -> LpStatus:
         nonlocal iters
         dtol = OPT_TOL * (c_scale if phase == 2 else b_scale)
@@ -358,13 +366,7 @@ def solve_lp(
             if iters >= max_iter:
                 return LpStatus.ITERATION_LIMIT
             _, d = t.price(cvec)
-            sl = t.status[:ne]
-            eligible = (
-                ((sl == _AT_LO) & (d < -dtol) & movable)
-                | ((sl == _AT_HI) & (d > dtol) & movable)
-                | ((sl == _FREE) & (np.abs(d) > dtol))
-            )
-            idx = np.nonzero(eligible)[0]
+            idx = np.nonzero(can_move(-d, dtol))[0]
             if idx.size == 0:
                 return LpStatus.OPTIMAL
             if iters > bland_after:
@@ -462,13 +464,7 @@ def solve_lp(
             # g_j is its move toward the bound.
             alpha = t.tableau_row(r)
             g = -alpha if rises else alpha
-            sl = t.status[:ne]
-            eligible = movable & (
-                ((sl == _AT_LO) & (g > PIVOT_TOL))
-                | ((sl == _AT_HI) & (g < -PIVOT_TOL))
-                | ((sl == _FREE) & (np.abs(g) > PIVOT_TOL))
-            )
-            idx = np.nonzero(eligible)[0]
+            idx = np.nonzero(can_move(g, PIVOT_TOL))[0]
             if idx.size == 0:
                 if t.since_refactor == 0:
                     return LpStatus.INFEASIBLE

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionMismatch, FeatureMismatch, ParseError,
-                     SingleClassData, finite_float)
+from .errors import (DimensionMismatch, FeatureMismatch, SingleClassData,
+                     field_reader, finite_float)
 
 MARGIN_TOL = 1e-9  # violations deeper than this leave the margin
 COEFF_PRINT_FLOOR = 1e-3  # relative magnitude below which a report prints 0
@@ -303,12 +303,7 @@ def model_from_text(text: str) -> tuple[Hyperplane, Standardizer, int, float]:
         if key not in kv:
             raise FeatureMismatch(f"model file missing field '{key}'")
 
-    def _get(key, conv, default=""):
-        lineno, raw = kv.get(key, (0, default))
-        try:
-            return conv(raw)
-        except ValueError:
-            raise ParseError(lineno, f"bad value for {key}: {raw!r}") from None
+    _get = field_reader(kv)
 
     def _floats(raw):
         return np.array([finite_float(v) for v in raw.split(",") if v])

@@ -116,20 +116,9 @@ def minimal_transitions(u: np.ndarray, u0: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def schedule_is_logical(case: SystemCase, u: np.ndarray, u0: np.ndarray) -> bool:
-    """Min-up/min-down windows (truncated at the horizon) on a binary path."""
-    y, z = minimal_transitions(u, u0)
-    horizon = u.shape[1]
-    for gi, g in enumerate(case.generators):
-        for t in range(horizon):
-            if y[gi, t]:
-                end = min(t + g.min_up, horizon)
-                if not np.all(u[gi, t:end] == 1):
-                    return False
-            if z[gi, t]:
-                end = min(t + g.min_down, horizon)
-                if not np.all(u[gi, t:end] == 0):
-                    return False
-    return True
+    """Min-up/min-down windows (truncated at the horizon) hold on a binary
+    path: the repair has nothing to add."""
+    return np.array_equal(_repair_schedule(case, u, u0), u)
 
 
 class _Milp:
@@ -394,9 +383,7 @@ def _solution(
         # Zero out numerical dust on offline units.
         p = np.where(u[:, None, :] == 0, 0.0, p)
         schedule = Schedule(u, *minimal_transitions(u, milp.inst.initial_status))
-        inj = milp.mats.injection(milp.load, milp.wind, p)
-        angles = milp.mats.angles(inj.reshape(inj.shape[0], -1)).reshape(
-            inj.shape)
+        angles = milp.mats.angles(milp.mats.injection(milp.load, milp.wind, p))
     return TsucSolution(status=status, schedule=schedule, dispatch=p,
                         angles=angles, objective=objective, stats=stats)
 
@@ -480,10 +467,10 @@ def _heuristic_incumbent(
 def _price_schedule(
     milp: _Milp, u: np.ndarray, stats: SolveStats,
 ) -> tuple[float, np.ndarray, np.ndarray] | None:
-    """Exact cost of a binary schedule, or None if it cannot be dispatched."""
+    """Exact cost of a binary schedule, or None if it cannot be dispatched.
+    The schedule must be logical (``schedule_is_logical``); this is not
+    checked again."""
     inst, c, n_u, u_idx = milp.inst, milp.c, milp.n_u, milp.u_idx
-    if not schedule_is_logical(inst.case, u, inst.initial_status):
-        return None
     y, z = minimal_transitions(u, inst.initial_status)
     first = y * c[n_u + u_idx] + z * c[2 * n_u + u_idx] + u * c[u_idx]
     cost = float(sum(first.ravel()))  # term by term, g-major

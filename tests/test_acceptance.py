@@ -138,7 +138,8 @@ def test_criterion_3_dc_consistency():
                 bal[case.bus_index(w.bus)] += wind[wi]
             for gi, g in enumerate(case.generators):
                 bal[case.bus_index(g.bus)] += res.dispatch[gi]
-            resid = mats.b_matrix @ res.angles * case.base_mva - bal
+            theta = mats.angles(mats.injection(load, wind, res.dispatch))
+            resid = mats.b_matrix @ theta * case.base_mva - bal
             worst_bal = max(worst_bal, float(np.max(np.abs(resid))))
     # Nodal balance in a returned TSUC solution.
     case = make_tiny_case()

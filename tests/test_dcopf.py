@@ -33,9 +33,12 @@ def test_dispatch_within_capability(tiny_case):
 def test_constrained_respects_line_limits():
     from tests.conftest import make_tiny_case
     case = make_tiny_case(line_limit=25.0)
-    res = solve_dcopf(case, np.array([0.0]), case.loads)
+    wind = np.array([0.0])
+    res = solve_dcopf(case, wind, case.loads)
     if res.status is DcopfStatus.OPTIMAL:
-        assert np.all(np.abs(res.flows) <= case.line_limits + 1e-6)
+        mats = build_matrices(case)
+        flows = mats.ptdf @ mats.injection(case.loads, wind, res.dispatch)
+        assert np.all(np.abs(flows) <= case.line_limits + 1e-6)
 
 
 def _relaxed(case, wind, load):
@@ -54,8 +57,7 @@ def test_relaxed_can_violate_limits():
     _, flows = _relaxed(case, np.array([0.0]), case.loads)
     # With a 10 MW limit on line 1-2 and 75 MW of load, the cheap unit's
     # unconstrained dispatch overloads the network.
-    label = check_feasibility(case, flows)
-    assert label.value == -1
+    assert check_feasibility(case, flows) == -1
 
 
 def test_relaxed_cost_lower_or_equal(tiny_case):
@@ -132,7 +134,8 @@ def test_nodal_balance_residuals(tiny_case, rng):
             inj[tiny_case.bus_index(w.bus)] += wind[wi]
         for gi, g in enumerate(tiny_case.generators):
             inj[tiny_case.bus_index(g.bus)] += res.dispatch[gi]
-        residual = mats.b_matrix @ res.angles * tiny_case.base_mva - inj
+        theta = mats.angles(mats.injection(loads, wind, res.dispatch))
+        residual = mats.b_matrix @ theta * tiny_case.base_mva - inj
         assert np.max(np.abs(residual)) <= 1e-6
 
 
@@ -144,15 +147,23 @@ def test_infeasible_when_load_exceeds_capacity(tiny_case):
 
 
 def test_check_feasibility_labels(tiny_case):
-    ok = check_feasibility(tiny_case, np.array([10.0, -20.0, 5.0]))
-    assert ok.value == 1
-    assert ok.worst_violation == 0.0
-    assert ok.violating_lines == []
+    assert check_feasibility(tiny_case, np.array([10.0, -20.0, 5.0])) == 1
+    assert check_feasibility(tiny_case, np.array([130.0, -20.0, -121.0])) == -1
+    # Within the tolerance of a limit is feasible, just past it is not.
+    assert check_feasibility(tiny_case, np.array([120.0 + 1e-7, 0.0, 0.0])) == 1
+    assert check_feasibility(tiny_case, np.array([120.0 + 1e-5, 0.0, 0.0])) == -1
 
-    bad = check_feasibility(tiny_case, np.array([130.0, -20.0, -121.0]))
-    assert bad.value == -1
-    assert bad.worst_violation == pytest.approx(10.0)
-    assert bad.violating_lines == [0, 2]
+
+def test_check_feasibility_labels_each_column(tiny_case, rng):
+    """An (L, a, b) or (L, n) flow array gets the label of each column."""
+    flows = rng.uniform(-140.0, 140.0, size=(3, 4, 5))
+    labels = check_feasibility(tiny_case, flows)
+    assert labels.shape == (4, 5)
+    assert set(np.unique(labels)) == {-1, 1}
+    for i, j in np.ndindex(4, 5):
+        assert labels[i, j] == check_feasibility(tiny_case, flows[:, i, j])
+    np.testing.assert_array_equal(check_feasibility(tiny_case, flows[:, 0]),
+                                  labels[0])
 
 
 def test_check_feasibility_dimension(tiny_case):

@@ -165,15 +165,15 @@ def test_angles_reproduce_injection(tiny_case, rng):
     assert theta[tiny_case.ref_index] == 0.0
     np.testing.assert_allclose(
         mats.b_matrix @ theta * tiny_case.base_mva, inj, atol=1e-6)
-    # An (N, k) matrix solves each column as a single call would.
-    batch = rng.normal(scale=30.0, size=(3, 5))
+    # Any trailing shape solves each column as a single call would.
+    batch = rng.normal(scale=30.0, size=(3, 2, 5))
     batch -= batch.mean(axis=0)
-    batch[:, 0] = inj
+    batch[:, 0, 0] = inj
     thetas = mats.angles(batch)
     assert thetas.shape == batch.shape
-    np.testing.assert_allclose(
-        thetas, np.column_stack([mats.angles(col)
-                                 for col in batch.T]), rtol=0, atol=1e-12)
+    for i, j in np.ndindex(2, 5):
+        np.testing.assert_allclose(thetas[:, i, j], mats.angles(batch[:, i, j]),
+                                   rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["ring3", "sixbus", "grid24"])

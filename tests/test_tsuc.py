@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ucsm import tsuc
 from ucsm.errors import FeatureMismatch, TooLarge
-from ucsm.grid import build_matrices
+from ucsm.grid import build_matrices, load_bundled_case
 from ucsm.pwl import pwl_cost
 from ucsm.scenarios import build_scenarios, feature_vector
 from ucsm.simplex import LpStatus, solve_lp
@@ -52,6 +54,48 @@ def test_schedule_logic_window(tiny_case):
     u0 = np.zeros(2, dtype=int)
     assert not schedule_is_logical(tiny_case, u_bad, u0)
     assert schedule_is_logical(tiny_case, u_ok, u0)
+
+
+def _logical_reference(case, u, u0) -> bool:
+    """Min-up/min-down as a window check: every switch-on holds for the
+    unit's min-up hours and every switch-off for its min-down hours, both
+    cut at the horizon."""
+    y, z = minimal_transitions(u, u0)
+    horizon = u.shape[1]
+    for gi, g in enumerate(case.generators):
+        for t in range(horizon):
+            if y[gi, t]:
+                end = min(t + g.min_up, horizon)
+                if not np.all(u[gi, t:end] == 1):
+                    return False
+            if z[gi, t]:
+                end = min(t + g.min_down, horizon)
+                if not np.all(u[gi, t:end] == 0):
+                    return False
+    return True
+
+
+def test_schedule_logic_is_the_repair_fixpoint():
+    """On random schedules of the bundled cases' units with random min-up
+    and min-down times, ``schedule_is_logical`` agrees with the window
+    check, and every repaired schedule passes the window check."""
+    rng = np.random.default_rng(17)
+    cases = [load_bundled_case(n) for n in ("ring3", "sixbus", "grid24")]
+    logical = 0
+    for _ in range(3000):
+        base = cases[rng.integers(len(cases))]
+        case = replace(base, generators=tuple(
+            replace(g, min_up=int(rng.integers(1, 5)),
+                    min_down=int(rng.integers(1, 5)))
+            for g in base.generators))
+        T = int(rng.integers(1, 7))
+        u0 = rng.integers(0, 2, size=case.n_gens)
+        u = rng.integers(0, 2, size=(case.n_gens, T))
+        expected = _logical_reference(case, u, u0)
+        assert schedule_is_logical(case, u, u0) == expected
+        assert _logical_reference(case, tsuc._repair_schedule(case, u, u0), u0)
+        logical += expected
+    assert 0 < logical < 3000
 
 
 def test_feature_vector_layout(tiny_case):
