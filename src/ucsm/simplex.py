@@ -11,7 +11,10 @@ the rows no unit column covers in a k x k block, the only part passed to
 ``np.linalg.inv``; B^-1 is assembled from its inverse blockwise, with the
 m x m basis never formed (kernel or "bump" reduction, as in Suhl and Suhl,
 ORSA J. Computing 2(4), 1990). Its cost falls with (k/m)^3; in grid24
-TSUC node LPs k is a median 34-39% of m, in their dispatch LPs 13%.
+TSUC node LPs k is a median 34-39% of m, in their dispatch LPs 13%. Entries
+of B^-1 and of B^-1 a_j within DROP_TOL of zero are rounding, which ``inv``
+leaves where the exact inverse is zero; they are zeroed, so that the eta
+updates do not spread them.
 
 Pricing, the product of a dual vector or a row of B^-1 with every column,
 has two kernels, chosen once per problem by A's density: the BLAS product
@@ -26,8 +29,10 @@ then phase 2, in which an artificial phase 1 left basic stays pinned at
 zero. A warm solve factors the given basis, reoptimizes it with the dual
 simplex (which needs a dual feasible basis, as an optimal one stays after
 rows are appended or bounds tightened) and finishes with phase 2 as
-cleanup. Both use a Dantzig-style rule and fall back to Bland's rule after
-2*(m+n) iterations to guarantee termination on cycling instances.
+cleanup. Every TSUC node LP is solved this way, the root from ``slack_start``;
+the DCOPF and the dispatch LPs solve cold. Both use a Dantzig-style rule
+and fall back to Bland's rule after 2*(m+n) iterations to guarantee
+termination on cycling instances.
 
 Bounds with magnitude >= INF_BOUND are treated as unbounded.
 """
@@ -46,6 +51,7 @@ INF_BOUND = 1e18
 OPT_TOL = 1e-9     # reduced-cost tolerance, relative to the cost scale
 FEAS_TOL = 1e-9    # bound-violation tolerance, relative to the rhs scale
 PIVOT_TOL = 1e-10  # smallest usable pivot-column entry in a ratio test
+DROP_TOL = 1e-14   # B^-1 and FTRAN entries this small are rounding: zeroed
 ORACLE_TOL = 1e-9  # brute_force_lp's vertex tolerance, relative to the rhs scale
 # Largest share of nonzeros in A at which pricing gathers over A's nonzeros
 # instead of taking the dense product. The two kernels break even at about
@@ -116,6 +122,7 @@ class LpSolution:
     phase1_iterations: int = 0
     dual_iterations: int = 0
     phase2_iterations: int = 0
+    warm: bool = False  # the given LpStart was used, not a cold fallback
 
 
 @dataclass
@@ -202,7 +209,8 @@ class _Tableau:
     def ftran(self, j: int) -> np.ndarray:
         """B^-1 a_j for column j; a signed column of B^-1 for a unit one."""
         if j < self.n_struct:
-            return self.binv @ self.a[:, j]
+            w = self.binv @ self.a[:, j]
+            return np.where(np.abs(w) > DROP_TOL, w, 0.0)
         k = j - self.n_struct
         return self.binv[:, self.unit_row[k]] * self.unit_sign[k]
 
@@ -294,6 +302,7 @@ class _Tableau:
         self.binv[np.ix_(q, f)] = kinv
         self.binv[np.ix_(p, f)] = -sign[:, None] * (self.a[np.ix_(rows, cols)]
                                                     @ kinv)
+        self.binv[np.abs(self.binv) <= DROP_TOL] = 0.0
         self.xval[self.basis] = self.binv @ self.nonbasic_rhs()
         self.since_refactor = 0
 
@@ -301,10 +310,13 @@ class _Tableau:
               leave_state: int):
         """Basis exchange shared by the primal and the dual simplex: column
         j (with w = B^-1 a_j) moves by theta and enters on row r; the
-        leaving column goes nonbasic in ``leave_state``. Refactors every
-        100 exchanges."""
+        leaving column goes nonbasic in ``leave_state``, an artificial at
+        its lower bound, since the next tableau no longer pins it above.
+        Refactors every 100 exchanges."""
         self.xval[self.basis] -= theta * w
         old = self.basis[r]
+        if old >= self.n_enter:
+            leave_state = _AT_LO
         self.status[old] = leave_state
         self.xval[old] = _nonbasic_value(self.lo[old], self.hi[old],
                                          leave_state)
@@ -508,7 +520,7 @@ def solve_lp(
                       basis=t.basis.copy(), col_status=t.status.copy(),
                       phase1_iterations=0 if warm else first,
                       dual_iterations=first if warm else 0,
-                      phase2_iterations=iters - first)
+                      phase2_iterations=iters - first, warm=warm)
 
 
 def remap_start(sol: LpSolution, n: int, m_eq: int, m_le: int) -> LpStart:
@@ -527,6 +539,19 @@ def remap_start(sol: LpSolution, n: int, m_eq: int, m_le: int) -> LpStart:
     ])
     return LpStart(basis=np.concatenate([basis, art + np.arange(extra)]),
                    col_status=col_status)
+
+
+def slack_start(n: int, m_eq: int, m_le: int) -> LpStart:
+    """The slack basis for ``n`` columns, ``m_eq`` equality and ``m_le``
+    ``<=`` rows: the slack basic on each ``<=`` row, the artificial on each
+    equality row, every structural column at its lower bound. Dual feasible
+    when c >= 0 and every lower bound is finite, so ``solve_lp`` needs no
+    phase 1; for any other c the phase-2 cleanup still solves the LP."""
+    m = m_eq + m_le
+    col_status = np.full(n + m_le + m, _AT_LO, dtype=np.int8)
+    basis = np.concatenate([n + m_le + np.arange(m_eq), n + np.arange(m_le)])
+    col_status[basis] = _BASIC
+    return LpStart(basis=basis, col_status=col_status)
 
 
 def brute_force_lp(problem: LpProblem) -> LpSolution:

@@ -26,7 +26,8 @@ from .dcopf import dispatch_problem, dispatch_segments
 from .errors import FeatureMismatch, TooLarge
 from .grid import GridMatrices, SystemCase, build_matrices
 from .scenarios import Scenario
-from .simplex import LpProblem, LpSolution, LpStatus, remap_start, solve_lp
+from .simplex import (LpProblem, LpSolution, LpStatus, remap_start,
+                      slack_start, solve_lp)
 from .svm import Hyperplane
 
 SURROGATE_TOL = 1e-9
@@ -85,6 +86,7 @@ class Schedule:
 class SolveStats:
     nodes: int = 0
     lp_solves: int = 0
+    cold_fallbacks: int = 0  # node LPs given a start that solved cold
     wall_time: float = 0.0
     gap: float = 0.0
 
@@ -356,17 +358,19 @@ def _solve_node(
     stats: SolveStats,
     base: LpSolution | None = None,
 ) -> LpSolution:
-    """LP bound with lazy rows grown until none are violated.
+    """Dual-simplex LP bound with lazy rows grown until none are violated.
 
     ``base`` is a previously solved LP — the parent node or the previous
-    lazy round — whose basis warm starts each solve.
+    lazy round — whose basis warm starts each solve; the root starts from
+    the slack basis, dual feasible as all costs are >= 0 and lower bounds 0.
     """
     while True:
-        start = None
-        if base is not None:
-            start = remap_start(base, milp.ncols, milp.b_eq.size, milp.b_le.size)
+        n, m_eq, m_le = milp.ncols, milp.b_eq.size, milp.b_le.size
+        start = (slack_start(n, m_eq, m_le) if base is None
+                 else remap_start(base, n, m_eq, m_le))
         sol = solve_lp(milp.lp_problem(fix), start=start)
         stats.lp_solves += 1
+        stats.cold_fallbacks += not sol.warm
         if sol.status is not LpStatus.OPTIMAL or not milp.add_violated_rows(sol.x):
             return sol
         base = sol

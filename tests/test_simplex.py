@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from ucsm.errors import DimensionMismatch, SingularMatrix
-from ucsm.simplex import (_AT_LO, _BASIC, INF_BOUND, SPARSE_PRICING_DENSITY,
-                          LpProblem, LpStart, LpStatus, _Tableau,
-                          brute_force_lp, remap_start, solve_lp)
+from ucsm.simplex import (_AT_LO, _BASIC, DROP_TOL, INF_BOUND,
+                          SPARSE_PRICING_DENSITY, LpProblem, LpStart,
+                          LpStatus, _Tableau, brute_force_lp, remap_start,
+                          slack_start, solve_lp)
 
 
 def box(n):
@@ -251,6 +252,7 @@ def test_unusable_start_falls_back_to_cold():
         assert warm.status is cold.status
         assert warm.objective == cold.objective
         assert warm.iterations == cold.iterations
+        assert not warm.warm and not cold.warm
 
 
 @pytest.mark.parametrize("c", [(1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)])
@@ -272,6 +274,28 @@ def test_artificial_left_basic_after_phase_one(c):
     cold = solve_lp(child)
     assert warm.status is cold.status
     assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+
+
+def test_artificial_left_in_dual_phase_keeps_child_warm():
+    """From the slack basis, the artificial of x1 + x2 = 1 starts basic at
+    1 and falls to its pinned bound 0 as x1 enters. It is recorded at its
+    lower bound, so a child with an appended row starts warm, though the
+    child's artificials are no longer pinned above."""
+    c, lo, hi = [1.0, 2.0], np.zeros(2), np.full(2, 5.0)
+    prob = LpProblem(c=c, a_eq=[[1.0, 1.0]], b_eq=[1.0],
+                     a_le=np.zeros((0, 2)), b_le=[], lo=lo, hi=hi)
+    sol = solve_lp(prob, start=slack_start(2, 1, 0))
+    assert sol.warm and sol.status is LpStatus.OPTIMAL
+    assert sol.iterations == sol.dual_iterations == 1
+    np.testing.assert_array_equal(sol.basis, [0])
+    assert sol.col_status[2] == _AT_LO
+    child = LpProblem(c=c, a_eq=prob.a_eq, b_eq=prob.b_eq,
+                      a_le=[[1.0, 0.0]], b_le=[0.5], lo=lo, hi=hi)
+    warm = solve_lp(child, start=remap_start(sol, 2, 1, 1))
+    assert warm.warm and warm.phase1_iterations == 0
+    assert warm.objective == pytest.approx(solve_lp(child).objective,
+                                           abs=1e-12)
+    np.testing.assert_allclose(warm.x, [0.5, 0.5], atol=1e-12)
 
 
 def test_warm_start_without_rows():
@@ -410,6 +434,29 @@ def test_refactor_inverts_mixed_bases(rng, m_eq, m_le):
     assert m == 0 or negative > 0
 
 
+def test_refactor_and_ftran_drop_rounding_dust():
+    """The exact inverse of a lower triangular kernel is lower triangular,
+    but np.linalg.inv leaves entries of about 1e-16 above the diagonal.
+    refactor zeroes every entry of B^-1 within DROP_TOL, and FTRAN every
+    entry of its result, so the eta updates skip them; B^-1 a_j of a basic
+    column is then the unit vector, exactly zero off its own row."""
+    k = np.array([[-1 / 7, 0.0, 0.0], [3 / 7, -0.2, 0.0], [-3 / 7, -0.1, 0.3]])
+    assert np.any(np.triu(np.linalg.inv(k), 1) != 0.0)
+    t = _Tableau(LpProblem(c=np.ones(3), a_eq=np.zeros((0, 3)), b_eq=[],
+                           a_le=k, b_le=np.ones(3), lo=np.zeros(3),
+                           hi=np.full(3, 5.0)))
+    t.cold_start()
+    t.basis = np.arange(3)
+    t.refactor()
+    assert not np.any((t.binv != 0.0) & (np.abs(t.binv) <= DROP_TOL))
+    np.testing.assert_array_equal(np.triu(t.binv, 1), 0.0)
+    np.testing.assert_allclose(t.binv @ k, np.eye(3), atol=1e-15)
+    for j in range(3):
+        w = t.ftran(j)
+        np.testing.assert_array_equal(np.delete(w, j), 0.0)
+        assert w[j] == pytest.approx(1.0, abs=1e-15)
+
+
 def test_refactor_rejects_singular_bases(rng):
     """Two unit columns on one row, or a singular kernel, raise
     SingularMatrix."""
@@ -503,3 +550,28 @@ def test_sparse_pricing_solves_as_dense(rng, monkeypatch):
                 warm[1].objective, rel=1e-9, abs=1e-9)
         solved[warm[0].status] += 1
     assert solved[LpStatus.OPTIMAL] >= 10 and solved[LpStatus.INFEASIBLE] >= 5
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_slack_start_matches_cold(rng, signed):
+    """Small dense and larger sparse LPs solved from the slack basis reach
+    the cold status and objective. With c >= 0 that basis is dual feasible,
+    so no phase 1 runs; with mixed signs the phase-2 cleanup finishes."""
+    solved = {LpStatus.OPTIMAL: 0, LpStatus.INFEASIBLE: 0}
+    for i in range(220):
+        prob = (sparse_lp(rng, 120, int(rng.integers(0, 6)),
+                          int(rng.integers(20, 40)))
+                if i % 10 == 0 else random_lp(rng))
+        if not signed:
+            prob.c = np.abs(prob.c)
+        cold = solve_lp(prob)
+        sol = solve_lp(prob, start=slack_start(prob.n, prob.b_eq.size,
+                                               prob.b_le.size))
+        assert sol.warm and sol.status is cold.status
+        if sol.status is LpStatus.OPTIMAL:
+            assert sol.objective == pytest.approx(cold.objective, abs=1e-7,
+                                                  rel=1e-7)
+        if not signed:
+            assert sol.phase1_iterations == 0
+        solved[sol.status] += 1
+    assert solved[LpStatus.OPTIMAL] >= 150 and solved[LpStatus.INFEASIBLE] >= 10

@@ -327,6 +327,28 @@ def test_root_bound_below_incumbent(tiny_case):
     assert sol.stats.lp_solves >= sol.stats.nodes
 
 
+def test_node_lps_never_fall_back_to_cold(grid24):
+    """At the uc-gap shape (S=5, T=12, K=4, 2% gap) every node LP, the
+    root's first round from the slack basis and each later round or child
+    from its predecessor, solves from the start it is given, in full mode
+    and under a halfspace trained on grid24 that weights every unit."""
+    w = np.array([0.018887562143126375, 0.0012199448061496702,
+                  0.021455786685244414, 0.0337488653383837,
+                  -0.03877592045992022, 0.06659078148767143,
+                  -0.46731255335687916, 0.19978089784735553, 0.0, 0.0])
+    hp = Hyperplane(weights_scaled=w.copy(), bias_scaled=15.707377572017467,
+                    weights_physical=w, bias_physical=15.707377572017467,
+                    feature_names=tuple(grid24.feature_names()))
+    scens = build_scenarios(grid24, 5, 12, 0)
+    for mode, model in ((TsucMode.FULL_NETWORK, None),
+                        (TsucMode.SURROGATE, hp)):
+        sol = solve_tsuc(TsucInstance(grid24, scens, 12, mode,
+                                      hyperplane=model, pwl_segments=4),
+                         gap_tol=0.02)
+        assert sol.status is TsucStatus.OPTIMAL
+        assert sol.stats.cold_fallbacks == 0
+
+
 def test_deterministic_objective(tiny_case):
     scens = build_scenarios(tiny_case, 2, 3, 8)
     inst = TsucInstance(tiny_case, scens, 3, TsucMode.FULL_NETWORK,
