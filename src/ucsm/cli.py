@@ -19,7 +19,7 @@ import numpy as np
 from . import bench as bench_mod
 from . import scenarios as sc
 from . import svm as sv
-from .dcopf import DcopfStatus, solve_dcopf
+from .dcopf import solve_dcopf
 from .errors import (BalancingFailed, DimensionMismatch, FeatureMismatch,
                      ParseError, SingleClassData, UcsmError, ValidationError)
 from .grid import SystemCase, build_matrices, load_bundled_case, parse_case
@@ -247,7 +247,7 @@ def _suite_dcopf(case, rng) -> list[str]:
         load = case.loads * rng.uniform(0.7, 1.3, size=case.n_buses)
         wind = sc.wind_realization(mu, sig, z)
         res = solve_dcopf(case, wind, load, mats=mats)
-        if res.status is not DcopfStatus.OPTIMAL:
+        if res.status is not LpStatus.OPTIMAL:
             continue
         # nodal balance: B theta = injection
         inj = -load.copy()
@@ -311,31 +311,25 @@ def _suite_monotone(case, rng) -> list[str]:
     return fails
 
 
+# The validate suites by name, in the order they run and draw from the one
+# RNG stream; each takes the RNG and the parsed arguments.
+SUITES = {
+    "lp": lambda rng, args: _suite_lp(rng),
+    "grid": lambda rng, args: [f for name in BUNDLED for f in
+                               _suite_grid(load_bundled_case(name), rng)],
+    "dcopf": lambda rng, args: [f for name in ("ring3", "sixbus") for f in
+                                _suite_dcopf(load_bundled_case(name), rng)],
+    "tsuc": lambda rng, args: _suite_tsuc(rng),
+    "monotone": lambda rng, args: _suite_monotone(
+        _load_case(args.case) if args.case else load_bundled_case("sixbus"),
+        rng),
+}
+
+
 def cmd_validate(args) -> int:
     rng = np.random.Generator(np.random.PCG64(args.seed))
-    suites = {}
-    want = args.suite
-    if want in (None, "lp"):
-        suites["lp"] = _suite_lp(rng)
-    if want in (None, "grid"):
-        fails = []
-        for name in BUNDLED:
-            fails += _suite_grid(load_bundled_case(name), rng)
-        suites["grid"] = fails
-    if want in (None, "dcopf"):
-        fails = []
-        for name in ("ring3", "sixbus"):
-            fails += _suite_dcopf(load_bundled_case(name), rng)
-        suites["dcopf"] = fails
-    if want in (None, "tsuc"):
-        suites["tsuc"] = _suite_tsuc(rng)
-    if want in (None, "monotone"):
-        case = _load_case(args.case) if args.case else load_bundled_case("sixbus")
-        suites["monotone"] = _suite_monotone(case, rng)
-    if not suites:
-        print(f"error: unknown suite '{want}'", file=sys.stderr)
-        return EXIT_INPUT
-
+    suites = {name: run(rng, args) for name, run in SUITES.items()
+              if args.suite in (None, name)}
     bad = False
     for name, fails in suites.items():
         print(f"{name}: {'PASS' if not fails else 'FAIL'}")
@@ -404,8 +398,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     v = sub.add_parser("validate", help="run the oracle property suites")
     v.add_argument("--case")
-    v.add_argument("--suite",
-                   choices=["lp", "grid", "dcopf", "tsuc", "monotone"])
+    v.add_argument("--suite", choices=list(SUITES))
     v.add_argument("--seed", type=int, default=0)
     v.set_defaults(func=cmd_validate)
     return p, sub.choices

@@ -11,7 +11,6 @@ line limits the dispatch is a merit-order fill, batched, with no LP.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -25,14 +24,9 @@ FEASIBILITY_TOL_MW = 1e-6
 SEGMENTS = 8  # PWL cost segments per generator, the LP's columns
 
 
-class DcopfStatus(Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-
-
 @dataclass
 class DcopfResult:
-    status: DcopfStatus
+    status: LpStatus  # the LP's own
     dispatch: np.ndarray  # MW per generator
     objective: float
 
@@ -115,9 +109,9 @@ def solve_dcopf(
         np.array([load_mw.sum() - wind_mw.sum() - pmin.sum()]),
         *mats.flow_rows(case.line_limits, base_flow)))
     if sol.status is not LpStatus.OPTIMAL:
-        return DcopfResult(DcopfStatus.INFEASIBLE, np.zeros(0), np.inf)
+        return DcopfResult(sol.status, np.zeros(0), np.inf)
     # Left to right in unit order: numpy sums eight or more terms pairwise.
-    return DcopfResult(DcopfStatus.OPTIMAL,
+    return DcopfResult(sol.status,
                        pmin + sol.x.reshape(-1, SEGMENTS).sum(axis=1),
                        float(sol.objective + sum(fixed.tolist())))
 

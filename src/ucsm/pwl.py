@@ -35,7 +35,7 @@ def pwl_cost(gen: Generator, segments: int) -> PwlCost:
     if segments < 1:
         raise ValueError("segments must be >= 1")
     bp = np.linspace(gen.p_min, gen.p_max, segments + 1)
-    vals = gen.c2 * bp * bp + gen.c1 * bp
+    vals = gen.cost(bp)
     widths = np.diff(bp)
     with np.errstate(invalid="ignore", divide="ignore"):
         slopes = np.where(widths > 0, np.diff(vals) / np.where(widths > 0, widths, 1.0),

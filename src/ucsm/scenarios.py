@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcopf import (DcopfStatus, check_feasibility, dispatch_segments,
+from .dcopf import (check_feasibility, dispatch_segments,
                     merit_order_dispatch, solve_dcopf)
 from .errors import (BalancingFailed, DimensionMismatch, ParseError,
                      field_reader, finite_float)
 from .grid import GridMatrices, SystemCase, build_matrices
+from .simplex import LpStatus
 
 Z_MIN, Z_MAX, Z_STEP = -4.0, 4.0, 0.1
 LOAD_FACTOR_LO, LOAD_FACTOR_HI = 0.7, 1.3
@@ -126,7 +127,7 @@ def generate_dataset(
                 break
             wind = wind_realization(mu, sigma, z)
             res = solve_dcopf(case, wind, load, mats=mats)
-            if res.status is DcopfStatus.OPTIMAL:
+            if res.status is LpStatus.OPTIMAL:
                 rows.append(feature_vector(mu, sigma, res.dispatch))
                 labels.append(1)
                 n_pos += 1

@@ -34,7 +34,8 @@ the DCOPF and the dispatch LPs solve cold. Both use a Dantzig-style rule
 and fall back to Bland's rule after 2*(m+n) iterations to guarantee
 termination on cycling instances.
 
-Bounds with magnitude >= INF_BOUND are treated as unbounded.
+Every lower bound is finite; an upper bound >= INF_BOUND is treated as
+unbounded.
 """
 
 from __future__ import annotations
@@ -62,8 +63,7 @@ SPARSE_PRICING_DENSITY = 1 / 20
 # Variable states.
 _AT_LO = 0
 _AT_HI = 1
-_FREE = 2
-_BASIC = 3
+_BASIC = 2
 
 
 class LpStatus(Enum):
@@ -75,7 +75,8 @@ class LpStatus(Enum):
 
 @dataclass
 class LpProblem:
-    """min c @ x  s.t.  a_eq @ x = b_eq,  a_le @ x <= b_le,  lo <= x <= hi."""
+    """min c @ x  s.t.  a_eq @ x = b_eq,  a_le @ x <= b_le,  lo <= x <= hi,
+    with every lower bound finite (above -INF_BOUND)."""
 
     c: np.ndarray
     a_eq: np.ndarray
@@ -102,6 +103,8 @@ class LpProblem:
             raise DimensionMismatch("bound vectors must match objective length")
         if np.any(self.lo > self.hi):
             raise DimensionMismatch("lo > hi for some variable")
+        if np.any(self.lo <= -INF_BOUND):
+            raise DimensionMismatch("lower bound not finite for some variable")
 
     @property
     def n(self) -> int:
@@ -143,12 +146,13 @@ class LpStart:
 
 
 def _nonbasic_value(lo, hi, state):
-    """Where a column in ``state`` sits: the bound the state names, 0 when
-    free (or basic). Elementwise over arrays; one column, the case of every
-    pivot and bound flip, skips numpy's per-call overhead."""
+    """Where a column in ``state`` sits: its upper bound at _AT_HI, else its
+    lower bound (a basic column's value is set by the factorization).
+    Elementwise over arrays; one column, the case of every pivot and bound
+    flip, skips numpy's per-call overhead."""
     if isinstance(state, np.ndarray):
-        return np.where(state == _AT_LO, lo, np.where(state == _AT_HI, hi, 0.0))
-    return lo if state == _AT_LO else hi if state == _AT_HI else 0.0
+        return np.where(state == _AT_HI, hi, lo)
+    return hi if state == _AT_HI else lo
 
 
 class _Tableau:
@@ -182,7 +186,6 @@ class _Tableau:
         self.lo = np.concatenate([problem.lo, np.zeros(m_le), np.zeros(m)])
         self.hi = np.concatenate([problem.hi, np.full(m_le, np.inf),
                                   np.full(m, np.inf)])
-        self.lo[self.lo <= -INF_BOUND] = -np.inf
         self.hi[self.hi >= INF_BOUND] = np.inf
         self.basis = self.status = self.xval = self.binv = None
         self.since_refactor = 0  # pivots since the last factorization
@@ -234,15 +237,12 @@ class _Tableau:
         return self.b - contrib
 
     def cold_start(self):
-        """Every nonbasic column at its nearest finite bound (free ones at
-        zero), and a crash basis: the slack on every inequality row whose
-        slack start is feasible, an artificial signed to start >= 0
-        elsewhere. Cuts phase-1 work to the infeasible rows."""
-        lo, hi = self.lo, self.hi
-        self.status = np.where(
-            np.isfinite(lo), _AT_LO, np.where(np.isfinite(hi), _AT_HI, _FREE)
-        ).astype(np.int8)
-        self.xval = _nonbasic_value(lo, hi, self.status)
+        """Every nonbasic column at its lower bound, and a crash basis: the
+        slack on every inequality row whose slack start is feasible, an
+        artificial signed to start >= 0 elsewhere. Cuts phase-1 work to the
+        infeasible rows."""
+        self.status = np.full(self.n_cols, _AT_LO, dtype=np.int8)
+        self.xval = self.lo.copy()
         m_eq = self.m - self.n_slack
         self.basis = self.n_enter + np.arange(self.m)
         r = self.nonbasic_rhs()
@@ -335,22 +335,17 @@ class _Tableau:
             self.refactor()
 
 
-def solve_lp(
-    problem: LpProblem,
-    *,
-    max_iter: int | None = None,
-    start: LpStart | None = None,
-) -> LpSolution:
+def solve_lp(problem: LpProblem, *, start: LpStart | None = None) -> LpSolution:
     """Solve a bounded-variable LP: two-phase primal simplex from a crash basis,
-    or dual simplex plus a primal cleanup from the advanced basis ``start``."""
+    or dual simplex plus a primal cleanup from the advanced basis ``start``.
+    Stops at ITERATION_LIMIT after 200 * (m + n) + 2000 iterations."""
     t = _Tableau(problem)
     n, m, ne = problem.n, t.m, t.n_enter
     warm = start is not None and t.warm_start(start)
     if not warm:
         t.cold_start()
 
-    if max_iter is None:
-        max_iter = 200 * (m + n) + 2000
+    iter_limit = 200 * (m + n) + 2000
     bland_after = 2 * (m + n)
 
     c_phase1 = np.zeros(t.n_cols)
@@ -365,17 +360,16 @@ def solve_lp(
 
     def can_move(g, tol) -> np.ndarray:
         """Movable nonbasic columns that improve by moving in direction g:
-        up from the lower bound, down from the upper, either way if free."""
+        up from the lower bound, down from the upper."""
         sl = t.status[:ne]
         return movable & (((sl == _AT_LO) & (g > tol))
-                          | ((sl == _AT_HI) & (g < -tol))
-                          | ((sl == _FREE) & (np.abs(g) > tol)))
+                          | ((sl == _AT_HI) & (g < -tol)))
 
     def run_phase(cvec, phase: int) -> LpStatus:
         nonlocal iters
         dtol = OPT_TOL * (c_scale if phase == 2 else b_scale)
         while True:
-            if iters >= max_iter:
+            if iters >= iter_limit:
                 return LpStatus.ITERATION_LIMIT
             _, d = t.price(cvec)
             idx = np.nonzero(can_move(-d, dtol))[0]
@@ -388,7 +382,7 @@ def solve_lp(
             iters += 1
 
             sj = t.status[j]
-            direction = 1.0 if (sj == _AT_LO or (sj == _FREE and d[j] < 0)) else -1.0
+            direction = 1.0 if sj == _AT_LO else -1.0
             w = t.ftran(j)
 
             # Ratio test: basic variables hitting their bounds, plus a
@@ -402,9 +396,7 @@ def solve_lp(
             lim[~np.isfinite(lim)] = np.inf
             lim = np.maximum(lim, 0.0)
 
-            flip = np.inf
-            if np.isfinite(t.lo[j]) and np.isfinite(t.hi[j]):
-                flip = t.hi[j] - t.lo[j]
+            flip = t.hi[j] - t.lo[j]  # inf for a column with no upper bound
 
             # Select a leaving row whose pivot element is usable. Dividing
             # by a negligible pivot destroys the factorization: if the
@@ -466,7 +458,7 @@ def solve_lp(
             bad = np.nonzero(viol > FEAS_TOL * b_scale)[0]
             if bad.size == 0:
                 return LpStatus.OPTIMAL
-            if iters >= max_iter:
+            if iters >= iter_limit:
                 return LpStatus.ITERATION_LIMIT
             bland = iters > bland_after
             r = int(bad[np.argmin(t.basis[bad])] if bland
@@ -513,9 +505,11 @@ def solve_lp(
 
     y, d = t.price(c_phase2)
     x = t.xval[:n].copy()
-    obj = -np.inf if status is LpStatus.UNBOUNDED else float(problem.c @ x)
-    finite = np.isfinite(t.xval[:ne]) & (t.status[:ne] != _BASIC)
-    dual_obj = float(y @ t.b + d[finite] @ t.xval[:ne][finite])
+    obj = (-np.inf if status is LpStatus.UNBOUNDED
+           else np.inf if status is LpStatus.INFEASIBLE
+           else float(problem.c @ x))
+    nonbasic = t.status[:ne] != _BASIC
+    dual_obj = float(y @ t.b + d[nonbasic] @ t.xval[:ne][nonbasic])
     return LpSolution(status, x, obj, iters, dual_obj,
                       basis=t.basis.copy(), col_status=t.status.copy(),
                       phase1_iterations=0 if warm else first,
@@ -545,8 +539,8 @@ def slack_start(n: int, m_eq: int, m_le: int) -> LpStart:
     """The slack basis for ``n`` columns, ``m_eq`` equality and ``m_le``
     ``<=`` rows: the slack basic on each ``<=`` row, the artificial on each
     equality row, every structural column at its lower bound. Dual feasible
-    when c >= 0 and every lower bound is finite, so ``solve_lp`` needs no
-    phase 1; for any other c the phase-2 cleanup still solves the LP."""
+    when c >= 0, so ``solve_lp`` needs no phase 1; for any other c the
+    phase-2 cleanup still solves the LP."""
     m = m_eq + m_le
     col_status = np.full(n + m_le + m, _AT_LO, dtype=np.int8)
     basis = np.concatenate([n + m_le + np.arange(m_eq), n + np.arange(m_le)])
@@ -558,9 +552,9 @@ def brute_force_lp(problem: LpProblem) -> LpSolution:
     """Vertex-enumeration oracle for small LPs.
 
     Enumerates every choice of n active constraints (equality rows always
-    active) among inequality rows and finite bounds, solves the square
-    system, and keeps the best feasible vertex. Independent of the simplex
-    path; intended for problems with n <= ~8.
+    active) among inequality rows, lower bounds and finite upper bounds,
+    solves the square system, and keeps the best feasible vertex.
+    Independent of the simplex path; intended for problems with n <= ~8.
     """
     n = problem.n
     if n > 10:
@@ -571,14 +565,10 @@ def brute_force_lp(problem: LpProblem) -> LpSolution:
         cands.append((problem.a_le[i], problem.b_le[i]))
     for j in range(n):
         e = np.zeros(n)
-        if problem.lo[j] > -INF_BOUND:
-            e_lo = e.copy()
-            e_lo[j] = 1.0
-            cands.append((e_lo, problem.lo[j]))
+        e[j] = 1.0
+        cands.append((e, problem.lo[j]))
         if problem.hi[j] < INF_BOUND:
-            e_hi = e.copy()
-            e_hi[j] = 1.0
-            cands.append((e_hi, problem.hi[j]))
+            cands.append((e, problem.hi[j]))
 
     need = n - len(rows)
     best_x, best_obj = None, np.inf
@@ -599,7 +589,7 @@ def brute_force_lp(problem: LpProblem) -> LpSolution:
             np.all(problem.a_le @ x <= problem.b_le + tol)
             and (problem.a_eq.shape[0] == 0
                  or np.all(np.abs(problem.a_eq @ x - problem.b_eq) <= tol))
-            and np.all(x >= np.maximum(problem.lo, -INF_BOUND) - tol)
+            and np.all(x >= problem.lo - tol)
             and np.all(x <= np.minimum(problem.hi, INF_BOUND) + tol)
         )
         if feasible:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ucsm import cli
-from ucsm.dcopf import DcopfStatus, solve_dcopf
+from ucsm.dcopf import solve_dcopf
 from ucsm.grid import build_matrices, load_bundled_case
 from ucsm.scenarios import build_scenarios, generate_dataset, wind_realization, z_grid
 from ucsm.simplex import LpProblem, LpStatus, brute_force_lp, solve_lp
@@ -131,7 +131,7 @@ def test_criterion_3_dc_consistency():
             wind = wind_realization(mu, sig, float(grid[rng.integers(grid.size)]))
             load = case.loads * rng.uniform(0.8, 1.2, size=case.n_buses)
             res = solve_dcopf(case, wind, load, mats=mats)
-            if res.status is not DcopfStatus.OPTIMAL:
+            if res.status is not LpStatus.OPTIMAL:
                 continue
             bal = -load
             for wi, w in enumerate(case.wind_units):

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -323,6 +326,22 @@ def test_train_defaults_are_svm_config_defaults():
     assert SvmConfig(c_negative=args.cneg_ratio, tolerance=args.tolerance,
                      max_passes=args.max_passes,
                      rng_seed=args.seed) == SvmConfig()
+
+
+def test_benchmark_copies_train_defaults():
+    """The learn benchmark trains with its own copies of ``ucsm train``'s
+    defaults, so its pins cover the defaults only while the copies in
+    ``perfbench/workloads.py`` equal ``SvmConfig()``'s."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    names = ("C_NEGATIVE", "SVM_TOLERANCE", "SVM_MAX_PASSES")
+    copies = {node.targets[0].id: ast.literal_eval(node.value)
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, ast.Assign)
+              and getattr(node.targets[0], "id", None) in names}
+    assert SvmConfig() == SvmConfig(c_positive=1.0,
+                                    c_negative=copies["C_NEGATIVE"],
+                                    tolerance=copies["SVM_TOLERANCE"],
+                                    max_passes=copies["SVM_MAX_PASSES"])
 
 
 @pytest.mark.parametrize("command", ["solve", "bench"])

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from ucsm.dcopf import (SEGMENTS, DcopfStatus, check_feasibility,
-                        dispatch_problem, dispatch_segments,
-                        merit_order_dispatch, solve_dcopf)
+from ucsm.dcopf import (SEGMENTS, check_feasibility, dispatch_problem,
+                        dispatch_segments, merit_order_dispatch, solve_dcopf)
 from ucsm.errors import DimensionMismatch
 from ucsm.grid import build_matrices
 from ucsm.pwl import pwl_cost
@@ -19,7 +18,7 @@ def test_wind_length_mismatch(tiny_case):
 
 def test_balance_holds(tiny_case):
     res = solve_dcopf(tiny_case, np.array([10.0]), tiny_case.loads)
-    assert res.status is DcopfStatus.OPTIMAL
+    assert res.status is LpStatus.OPTIMAL
     total = res.dispatch.sum() + 10.0
     assert total == pytest.approx(tiny_case.loads.sum(), abs=1e-7)
 
@@ -35,7 +34,7 @@ def test_constrained_respects_line_limits():
     case = make_tiny_case(line_limit=25.0)
     wind = np.array([0.0])
     res = solve_dcopf(case, wind, case.loads)
-    if res.status is DcopfStatus.OPTIMAL:
+    if res.status is LpStatus.OPTIMAL:
         mats = build_matrices(case)
         flows = mats.ptdf @ mats.injection(case.loads, wind, res.dispatch)
         assert np.all(np.abs(flows) <= case.line_limits + 1e-6)
@@ -68,7 +67,7 @@ def test_relaxed_cost_lower_or_equal(tiny_case):
     dispatch, _ = _relaxed(case, wind, case.loads)
     cost = sum(g.c0 + pwl_cost(g, SEGMENTS).value(p)
                for g, p in zip(case.generators, dispatch))
-    if con.status is DcopfStatus.OPTIMAL:
+    if con.status is LpStatus.OPTIMAL:
         assert cost <= con.objective + 1e-6
 
 
@@ -127,7 +126,7 @@ def test_nodal_balance_residuals(tiny_case, rng):
         wind = rng.uniform(0.0, 15.0, size=1)
         loads = tiny_case.loads * rng.uniform(0.7, 1.3)
         res = solve_dcopf(tiny_case, wind, loads, mats=mats)
-        if res.status is not DcopfStatus.OPTIMAL:
+        if res.status is not LpStatus.OPTIMAL:
             continue
         inj = -loads
         for wi, w in enumerate(tiny_case.wind_units):
@@ -142,7 +141,7 @@ def test_nodal_balance_residuals(tiny_case, rng):
 def test_infeasible_when_load_exceeds_capacity(tiny_case):
     huge = tiny_case.loads + 500.0
     res = solve_dcopf(tiny_case, np.array([0.0]), huge)
-    assert res.status is DcopfStatus.INFEASIBLE
+    assert res.status is LpStatus.INFEASIBLE
     assert res.objective == np.inf
 
 
@@ -184,7 +183,7 @@ def test_matches_tsuc_dispatch_lp(sixbus, grid24):
                 milp, np.ones((case.n_gens, 1), dtype=int), 0)
             res = solve_dcopf(case, scen[0].wind_mw[:, 0],
                               scen[0].loads(case)[:, 0])
-            assert feasible is (res.status is DcopfStatus.OPTIMAL)
+            assert feasible is (res.status is LpStatus.OPTIMAL)
             if not feasible:
                 continue
             solved += 1

@@ -34,30 +34,35 @@ def test_equality_constraints():
 
 
 def test_infeasible():
+    """Cold (phase 1) and warm (dual simplex) solves report INFEASIBLE
+    with an infinite objective, as the vertex oracle does."""
     prob = LpProblem(c=[1.0], a_eq=[[1.0]], b_eq=[5.0],
                      a_le=np.zeros((0, 1)), b_le=[],
                      lo=[0.0], hi=[1.0])
-    assert solve_lp(prob).status is LpStatus.INFEASIBLE
+    warm = solve_lp(prob, start=slack_start(1, 1, 0))
+    assert warm.warm
+    for sol in (solve_lp(prob), warm, brute_force_lp(prob)):
+        assert sol.status is LpStatus.INFEASIBLE
+        assert sol.objective == np.inf
 
 
 def test_unbounded():
-    lo = np.array([-INF_BOUND])
-    hi = np.array([INF_BOUND])
-    prob = LpProblem(c=[1.0], a_eq=np.zeros((0, 1)), b_eq=[],
+    lo, hi = box(1)
+    prob = LpProblem(c=[-1.0], a_eq=np.zeros((0, 1)), b_eq=[],
                      a_le=np.zeros((0, 1)), b_le=[], lo=lo, hi=hi)
-    assert solve_lp(prob).status is LpStatus.UNBOUNDED
+    sol = solve_lp(prob)
+    assert sol.status is LpStatus.UNBOUNDED
+    assert sol.objective == -np.inf
 
 
 def test_bound_flip_only_problem():
-    # No rows at all: variables sit at the cheaper bound, and a zero-cost
-    # column at its only finite bound.
-    prob = LpProblem(c=[1.0, -1.0, 0.0], a_eq=np.zeros((0, 3)), b_eq=[],
-                     a_le=np.zeros((0, 3)), b_le=[],
-                     lo=np.array([2.0, 0.0, -np.inf]),
-                     hi=np.array([5.0, 3.0, -2.0]))
+    # No rows at all: variables sit at the cheaper bound.
+    prob = LpProblem(c=[1.0, -1.0], a_eq=np.zeros((0, 2)), b_eq=[],
+                     a_le=np.zeros((0, 2)), b_le=[],
+                     lo=np.array([2.0, 0.0]), hi=np.array([5.0, 3.0]))
     sol = solve_lp(prob)
     assert sol.status is LpStatus.OPTIMAL
-    np.testing.assert_allclose(sol.x, [2.0, 3.0, -2.0])
+    np.testing.assert_allclose(sol.x, [2.0, 3.0])
 
 
 def test_negative_lower_bounds():
@@ -78,6 +83,12 @@ def test_dimension_checks():
         LpProblem(c=[1.0], a_eq=np.zeros((0, 1)), b_eq=[],
                   a_le=np.zeros((0, 1)), b_le=[],
                   lo=[1.0], hi=[0.0])
+    # Every lower bound is finite: -inf and -INF_BOUND are rejected.
+    for lo in (-np.inf, -INF_BOUND):
+        with pytest.raises(DimensionMismatch):
+            LpProblem(c=[1.0, 1.0], a_eq=np.zeros((0, 2)), b_eq=[],
+                      a_le=np.zeros((0, 2)), b_le=[],
+                      lo=[0.0, lo], hi=[1.0, INF_BOUND])
 
 
 def random_lp(rng, n=None, m_eq=None):
@@ -109,13 +120,17 @@ def test_agrees_with_vertex_oracle(rng):
     assert solved >= 30  # sanity: the fuzz hits plenty of feasible LPs
 
 
+def assert_no_duality_gap(sol):
+    gap = abs(sol.objective - sol.dual_objective)
+    assert gap <= 1e-6 * (1.0 + abs(sol.objective))
+
+
 def test_duality_gap_small(rng):
     for _ in range(100):
         prob = random_lp(rng)
         sol = solve_lp(prob)
         if sol.status is LpStatus.OPTIMAL:
-            gap = abs(sol.objective - sol.dual_objective)
-            assert gap <= 1e-6 * (1.0 + abs(sol.objective))
+            assert_no_duality_gap(sol)
 
 
 def test_primal_feasibility_of_solutions(rng):
@@ -167,6 +182,7 @@ def test_warm_start_matches_cold(rng):
         if warm.status is LpStatus.OPTIMAL:
             assert warm.objective == pytest.approx(cold.objective, abs=1e-7,
                                                    rel=1e-7)
+            assert_no_duality_gap(warm)
             agree += 1
         # The phase split sums to the total; a warm solve runs no phase 1
         # and a cold one no dual simplex.
@@ -316,7 +332,7 @@ def test_crash_basis_matches_row_rule(rng):
     row's artificial, signed to start at |r_i| >= 0."""
     for _ in range(100):
         n, m_eq, m_le = 4, int(rng.integers(0, 3)), int(rng.integers(0, 4))
-        lo = np.where(rng.random(n) < 0.3, -INF_BOUND, rng.normal(size=n))
+        lo = rng.normal(size=n)
         hi = np.where(rng.random(n) < 0.3, INF_BOUND, np.abs(lo) + 1.0)
         prob = LpProblem(c=rng.normal(size=n), a_eq=rng.normal(size=(m_eq, n)),
                          b_eq=rng.normal(size=m_eq),
@@ -324,9 +340,8 @@ def test_crash_basis_matches_row_rule(rng):
                          b_le=rng.normal(size=m_le), lo=lo, hi=hi)
         t = _Tableau(prob)
         t.cold_start()
-        x0 = np.where(lo > -INF_BOUND, lo, np.where(hi < INF_BOUND, hi, 0.0))
         r = np.concatenate([prob.b_eq, prob.b_le]) - np.vstack(
-            [prob.a_eq, prob.a_le]) @ x0
+            [prob.a_eq, prob.a_le]) @ lo
         for i in range(m_eq + m_le):
             if i >= m_eq and r[i] >= 0:
                 assert t.basis[i] == n + i - m_eq
@@ -571,6 +586,7 @@ def test_slack_start_matches_cold(rng, signed):
         if sol.status is LpStatus.OPTIMAL:
             assert sol.objective == pytest.approx(cold.objective, abs=1e-7,
                                                   rel=1e-7)
+            assert_no_duality_gap(sol)
         if not signed:
             assert sol.phase1_iterations == 0
         solved[sol.status] += 1
