@@ -244,7 +244,8 @@ def _suite_dcopf(case, rng) -> list[str]:
         mu = np.array([rng.uniform(*w.mu_interval) for w in case.wind_units])
         sig = np.array([rng.uniform(*w.sigma_interval) for w in case.wind_units])
         z = grid[rng.integers(grid.size)]
-        load = case.loads * rng.uniform(0.7, 1.3, size=case.n_buses)
+        load = case.loads * rng.uniform(sc.LOAD_FACTOR_LO, sc.LOAD_FACTOR_HI,
+                                        size=case.n_buses)
         wind = sc.wind_realization(mu, sig, z)
         res = solve_dcopf(case, wind, load, mats=mats)
         if res.status is not LpStatus.OPTIMAL:

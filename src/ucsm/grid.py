@@ -14,8 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, finite_float
-from .linalg import lu_factor, lu_backsolve
+from .errors import ParseError, SingularMatrix, ValidationError, finite_float
 
 
 @dataclass(frozen=True)
@@ -36,10 +35,9 @@ class Line:
     limit: float        # MW
 
     def __post_init__(self):
-        if self.reactance_x <= 0:
-            raise ValidationError(
-                f"line {self.from_bus}-{self.to_bus}: reactance must be > 0"
-            )
+        if not self.reactance_x > 0 or np.isinf(1.0 / self.reactance_x):
+            raise ValidationError(f"line {self.from_bus}-{self.to_bus}: reactance "
+                                  "must be > 0, with a finite susceptance 1/x")
         if self.limit <= 0:
             raise ValidationError(
                 f"line {self.from_bus}-{self.to_bus}: limit must be > 0"
@@ -241,20 +239,43 @@ def build_matrices(case: SystemCase) -> GridMatrices:
     np.add.at(bmat, (np.column_stack([fb, tb, fb, tb]),
                      np.column_stack([fb, tb, tb, fb])),
               (1.0 / x)[:, None] * [1.0, 1.0, -1.0, -1.0])
+    if not np.isfinite(bmat).all():  # 1/x of parallel lines can overflow
+        raise ValidationError("a bus's summed susceptance 1/x is not finite")
     keep = np.arange(nb) != case.ref_index
-    lu = lu_factor(bmat[np.ix_(keep, keep)])  # SingularMatrix if disconnected
-    # X[k] = angles for a unit injection at bus k (ref column zero); a
-    # one-bus case has none.
-    eye = np.eye(nb - 1)
-    xred = np.array([lu_backsolve(*lu, eye[:, k])
-                     for k in range(nb - 1)]).T.reshape(nb - 1, nb - 1)
     xfull = np.zeros((nb, nb))
-    xfull[np.ix_(keep, keep)] = xred
+    xfull[np.ix_(keep, keep)] = _inverse(bmat[np.ix_(keep, keep)])
     ptdf = (xfull[fb] - xfull[tb]) / x[:, None]
     return GridMatrices(bmat, ptdf, xfull,
                         gen_bus=at(g.bus for g in case.generators),
                         wind_bus=at(w.bus for w in case.wind_units),
                         base_mva=case.base_mva)
+
+
+def _inverse(a: np.ndarray) -> np.ndarray:
+    """a⁻¹ by LU with partial pivoting; SingularMatrix at a pivot of at
+    most 1e-12. Each column is substituted as its own vector, because one
+    matrix solve rounds differently: the PTDF's last bits would move."""
+    n = a.shape[0]
+    lu = a.copy()
+    piv = np.arange(n)
+    for k in range(n):
+        row = k + int(np.argmax(np.abs(lu[k:, k])))
+        if abs(lu[row, k]) <= 1e-12:
+            raise SingularMatrix(f"pivot {lu[row, k]:.3e} at column {k}")
+        lu[[k, row]] = lu[[row, k]]
+        piv[[k, row]] = piv[[row, k]]
+        lu[k + 1:, k] /= lu[k, k]
+        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+    inv = np.empty((n, n))
+    for j in range(n):
+        x = (piv == j).astype(float)  # unit column j, rows permuted
+        for k in range(1, n):
+            x[k] -= lu[k, :k] @ x[:k]
+        for k in range(n - 1, -1, -1):
+            x[k] -= lu[k, k + 1:] @ x[k + 1:]
+            x[k] /= lu[k, k]
+        inv[:, j] = x
+    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +316,8 @@ def parse_case(text: str, name: str = "") -> SystemCase:
                 config[key] = lineno, finite_float(val)
             except ValueError:
                 raise ParseError(lineno, f"bad numeric value {val.strip()!r}") from None
+            if key == "base_mva" and config[key][1] <= 0:
+                raise ParseError(lineno, "base_mva must be > 0")
             continue
         fields = [f.strip() for f in stripped.split(",")]
         try:

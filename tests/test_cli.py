@@ -138,6 +138,10 @@ def test_solve_malformed_case_exit_2(tmp_path):
     pytest.param("90, 90, 1, 1,", "90, 90, 1.5, 1,", id="min-up-1.5"),
     pytest.param("base_mva = 100", "base_mva = inf", id="base-mva-inf"),
     pytest.param("ref_bus = 1", "ref_bus = 1.5", id="ref-bus-1.5"),
+    pytest.param("1, 2, 0.08", "1, 2, 1e-320", id="susceptance-inf"),
+    # A zero base gave NaN angles and a negative one flipped their sign.
+    pytest.param("base_mva = 100", "base_mva = 0", id="base-mva-0"),
+    pytest.param("base_mva = 100", "base_mva = -100", id="base-mva-negative"),
 ])
 def test_solve_case_number_not_finite_or_whole_exit_2(tmp_path, capsys,
                                                       old, new):

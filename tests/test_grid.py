@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ucsm.errors import ParseError, ValidationError
-from ucsm.grid import (Bus, Generator, Line, SystemCase, WindUnit,
+from ucsm.errors import ParseError, SingularMatrix, ValidationError
+from ucsm.grid import (Bus, Generator, Line, SystemCase, WindUnit, _inverse,
                        build_matrices, bundled_case_text, load_bundled_case,
                        parse_case)
 from tests.conftest import make_tiny_case
@@ -90,6 +90,33 @@ def test_disconnected_graph_rejected():
 def test_negative_reactance_rejected():
     with pytest.raises(ValidationError):
         Line(1, 2, -0.1, 100.0)
+
+
+def test_susceptance_must_be_finite():
+    """A reactance so small that 1/x overflows is rejected with the line,
+    and so are parallel lines whose 1/x sum past the float range at a bus."""
+    with pytest.raises(ValidationError, match="finite susceptance 1/x"):
+        Line(1, 2, 1e-320, 100.0)
+    base = make_tiny_case()
+    tight = Line(1, 2, 6e-309, 100.0)  # 1/x is finite, twice it is not
+    case = replace(base, lines=base.lines + (tight, tight))
+    with pytest.warns(RuntimeWarning, match="overflow"), \
+            pytest.raises(ValidationError, match="summed susceptance"):
+        build_matrices(case)
+
+
+def test_inverse_swaps_rows():
+    """A zero leading entry needs a row swap."""
+    a = np.array([[0.0, 2.0, 1.0], [4.0, 0.0, 0.0], [1.0, 1.0, 3.0]])
+    np.testing.assert_allclose(_inverse(a), np.linalg.inv(a),
+                               rtol=1e-12, atol=1e-15)
+    np.testing.assert_array_equal(_inverse(np.array([[0.0, 2.0], [4.0, 0.0]])),
+                                  [[0.0, 0.25], [0.5, 0.0]])
+
+
+def test_inverse_of_singular_matrix_raises():
+    with pytest.raises(SingularMatrix):
+        _inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
 def test_content_hash_sensitive_to_limits():

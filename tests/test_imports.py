@@ -21,3 +21,14 @@ def test_runtime_depends_on_numpy_only():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name}: {name}"
+
+
+def test_readme_package_layout_names_every_module():
+    """The README's "Package layout" table has one row per module of the
+    package, ``__init__.py`` aside, and no row for a module that is gone."""
+    readme = (SRC.parents[1] / "README.md").read_text()
+    table = readme.split("## Package layout", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("`")[1] for line in table.splitlines()
+            if line.startswith("| `")]
+    modules = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert sorted(rows) == modules
