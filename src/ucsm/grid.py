@@ -236,14 +236,19 @@ def build_matrices(case: SystemCase) -> GridMatrices:
     x = np.array([ln.reactance_x for ln in case.lines])
     # Line by line: +1/x on both diagonal entries, -1/x on both others.
     bmat = np.zeros((nb, nb))
-    np.add.at(bmat, (np.column_stack([fb, tb, fb, tb]),
-                     np.column_stack([fb, tb, tb, fb])),
-              (1.0 / x)[:, None] * [1.0, 1.0, -1.0, -1.0])
-    if not np.isfinite(bmat).all():  # 1/x of parallel lines can overflow
-        raise ValidationError("a bus's summed susceptance 1/x is not finite")
+    with np.errstate(over="ignore"):  # 1/x of parallel lines can overflow
+        np.add.at(bmat, (np.column_stack([fb, tb, fb, tb]),
+                         np.column_stack([fb, tb, tb, fb])),
+                  (1.0 / x)[:, None] * [1.0, 1.0, -1.0, -1.0])
+    for bus, total in zip(case.buses, np.diag(bmat)):
+        if not np.isfinite(total):
+            raise ValidationError(f"bus {bus.id}: summed susceptance 1/x not finite")
     keep = np.arange(nb) != case.ref_index
     xfull = np.zeros((nb, nb))
-    xfull[np.ix_(keep, keep)] = _inverse(bmat[np.ix_(keep, keep)])
+    try:  # _connected makes B nonsingular: a tiny pivot comes from x's spread
+        xfull[np.ix_(keep, keep)] = _inverse(bmat[np.ix_(keep, keep)])
+    except SingularMatrix as exc:
+        raise ValidationError(f"reactances too far apart to invert B: {exc}") from None
     ptdf = (xfull[fb] - xfull[tb]) / x[:, None]
     return GridMatrices(bmat, ptdf, xfull,
                         gen_bus=at(g.bus for g in case.generators),

@@ -23,6 +23,10 @@ SPARSE_PRICING_DENSITY nonzero, as in a TSUC node LP, whose PTDF rows are
 98-99.5% zeros) a gather over A's nonzeros summed per column by
 ``np.bincount``. Only the reduced costs' last bits depend on the kernel:
 FTRAN, refactorization and the right-hand side use the dense A either way.
+The reduced costs d are priced at a phase's start, after a refactorization,
+to confirm optimality and for the dual objective; a pivot updates them by
+d -= (d_j / alpha_j) alpha with alpha its pivot row of B^-1 [A | slacks]
+(Koberstein, PhD thesis, Paderborn 2005), and a bound flip keeps them.
 
 A cold solve runs phase 1 from a crash basis of slacks and artificials,
 then phase 2, in which an artificial phase 1 left basic stays pinned at
@@ -187,7 +191,9 @@ class _Tableau:
         self.hi = np.concatenate([problem.hi, np.full(m_le, np.inf),
                                   np.full(m, np.inf)])
         self.hi[self.hi >= INF_BOUND] = np.inf
-        self.basis = self.status = self.xval = self.binv = None
+        # The running phase's costs, d under them, and whether price made d.
+        self.basis = self.status = self.xval = self.binv = self.cost = None
+        self.d, self.fresh = None, False
         self.since_refactor = 0  # pivots since the last factorization
 
     @property
@@ -217,11 +223,14 @@ class _Tableau:
         k = j - self.n_struct
         return self.binv[:, self.unit_row[k]] * self.unit_sign[k]
 
-    def price(self, cvec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Duals y = c_B B^-1 and the reduced costs of the columns that
-        may enter."""
-        y = cvec[self.basis] @ self.binv
-        return y, cvec[:self.n_enter] - self._times_cols(y)
+    def price(self, cvec: np.ndarray | None = None) -> np.ndarray:
+        """Duals y = c_B B^-1, and d afresh, for ``cvec`` as the phase's
+        cost vector or for the one already set."""
+        self.cost = self.cost if cvec is None else cvec
+        y = self.cost[self.basis] @ self.binv
+        self.d = self.cost[:self.n_enter] - self._times_cols(y)
+        self.fresh = True
+        return y
 
     def tableau_row(self, r: int) -> np.ndarray:
         """Row r of B^-1 [A | slack columns]."""
@@ -305,17 +314,25 @@ class _Tableau:
         self.binv[np.abs(self.binv) <= DROP_TOL] = 0.0
         self.xval[self.basis] = self.binv @ self.nonbasic_rhs()
         self.since_refactor = 0
+        if self.cost is not None:  # in a phase: d afresh on the new B^-1
+            self.price()
 
     def pivot(self, r: int, j: int, w: np.ndarray, theta: float,
-              leave_state: int):
+              leave_state: int, alpha: np.ndarray):
         """Basis exchange shared by the primal and the dual simplex: column
         j (with w = B^-1 a_j) moves by theta and enters on row r; the
         leaving column goes nonbasic in ``leave_state``, an artificial at
         its lower bound, since the next tableau no longer pins it above.
-        Refactors every 100 exchanges."""
+        d is updated by the pivot row alpha = ``tableau_row(r)``, taken
+        before the exchange. Refactors every 100 exchanges."""
         self.xval[self.basis] -= theta * w
         old = self.basis[r]
-        if old >= self.n_enter:
+        theta_d = self.d[j] / alpha[j]
+        self.d -= theta_d * alpha
+        self.d[j], self.fresh = 0.0, False
+        if old < self.n_enter:
+            self.d[old] = -theta_d
+        else:
             leave_state = _AT_LO
         self.status[old] = leave_state
         self.xval[old] = _nonbasic_value(self.lo[old], self.hi[old],
@@ -368,17 +385,20 @@ def solve_lp(problem: LpProblem, *, start: LpStart | None = None) -> LpSolution:
     def run_phase(cvec, phase: int) -> LpStatus:
         nonlocal iters
         dtol = OPT_TOL * (c_scale if phase == 2 else b_scale)
+        t.price(cvec)
         while True:
             if iters >= iter_limit:
                 return LpStatus.ITERATION_LIMIT
-            _, d = t.price(cvec)
-            idx = np.nonzero(can_move(-d, dtol))[0]
+            idx = np.nonzero(can_move(-t.d, dtol))[0]
             if idx.size == 0:
-                return LpStatus.OPTIMAL
+                if t.fresh:
+                    return LpStatus.OPTIMAL
+                t.price()  # optimal only on d afresh
+                continue
             if iters > bland_after:
                 j = int(idx[0])
             else:
-                j = int(idx[np.argmax(np.abs(d[idx]))])
+                j = int(idx[np.argmax(np.abs(t.d[idx]))])
             iters += 1
 
             sj = t.status[j]
@@ -443,7 +463,7 @@ def solve_lp(problem: LpProblem, *, start: LpStart | None = None) -> LpSolution:
             # dw > 0 means the leaving basic variable decreased onto its
             # lower bound; dw < 0 means it rose onto its upper bound.
             t.pivot(leave, j, w, direction * step,
-                    _AT_LO if dw[leave] > 0 else _AT_HI)
+                    _AT_LO if dw[leave] > 0 else _AT_HI, t.tableau_row(leave))
 
     def dual_phase() -> LpStatus:
         """Bounded dual simplex from a dual feasible basis, until the basis
@@ -451,6 +471,7 @@ def solve_lp(problem: LpProblem, *, start: LpStart | None = None) -> LpSolution:
         violation; a row that no nonbasic column can move toward its bound
         certifies infeasibility."""
         nonlocal iters
+        t.price(c_phase2)
         while True:
             xb = t.xval[t.basis]
             below = t.lo[t.basis] - xb
@@ -476,8 +497,7 @@ def solve_lp(problem: LpProblem, *, start: LpStart | None = None) -> LpSolution:
                 continue
             # Dual ratio test: the column whose reduced cost reaches zero
             # first; ties go to the largest pivot.
-            _, d = t.price(c_phase2)
-            ratio = np.abs(d[idx] / alpha[idx])
+            ratio = np.abs(t.d[idx] / alpha[idx])
             ties = idx[ratio <= ratio.min() * (1 + 1e-9) + 1e-12]
             q = int(ties[0] if bland else ties[np.argmax(np.abs(alpha[ties]))])
             iters += 1
@@ -485,7 +505,7 @@ def solve_lp(problem: LpProblem, *, start: LpStart | None = None) -> LpSolution:
             w = t.ftran(q)
             target = t.lo[t.basis[r]] if rises else t.hi[t.basis[r]]
             t.pivot(r, q, w, (xb[r] - target) / w[r],
-                    _AT_LO if rises else _AT_HI)
+                    _AT_LO if rises else _AT_HI, alpha)
 
     # Artificials stay fixed at zero once phase 1 is over; one still basic
     # is pinned there by these bounds.
@@ -503,7 +523,7 @@ def solve_lp(problem: LpProblem, *, start: LpStart | None = None) -> LpSolution:
     if status is LpStatus.OPTIMAL:
         status = run_phase(c_phase2, 2)
 
-    y, d = t.price(c_phase2)
+    y, d = t.price(c_phase2), t.d
     x = t.xval[:n].copy()
     obj = (-np.inf if status is LpStatus.UNBOUNDED
            else np.inf if status is LpStatus.INFEASIBLE

@@ -1,4 +1,5 @@
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +154,29 @@ def test_solve_case_number_not_finite_or_whole_exit_2(tmp_path, capsys,
     assert rc == cli.EXIT_INPUT
     line = text[:text.index(old)].count("\n") + 1
     assert f"line {line}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    # B's reduced matrix has a pivot of 1.1e-13, under the LU's 1e-12 floor;
+    # the graph is connected, so it is the reactances, not the topology.
+    pytest.param("1, 2, 0.08,", "1, 2, 1e13,",
+                 "reactances too far apart to invert B: pivot 1.101e-13",
+                 id="reactance-huge"),
+    # Each line's 1/x is finite; bus 2 and 3's sums are not.
+    pytest.param("2, 3, 0.08, 160", "2, 3, 6e-309, 160\n2, 3, 6e-309, 160\n"
+                 "2, 3, 0.08, 160", "bus 2: summed susceptance 1/x not finite",
+                 id="susceptance-sum-inf"),
+])
+def test_solve_case_network_not_invertible_exit_2(tmp_path, capsys, old, new,
+                                                  message):
+    path = tmp_path / "bad.case"
+    path.write_text(bundled_case_text("sixbus").replace(old, new, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["solve", "--case", str(path), "--scenarios", "2",
+                       "--horizon", "3", "--segments", "2"])
+    assert rc == cli.EXIT_INPUT
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_solve_case_unknown_config_key_exit_2(tmp_path, capsys):

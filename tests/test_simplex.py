@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ucsm.errors import DimensionMismatch, SingularMatrix
-from ucsm.simplex import (_AT_LO, _BASIC, DROP_TOL, INF_BOUND,
-                          SPARSE_PRICING_DENSITY, LpProblem, LpStart,
+from ucsm.simplex import (_AT_HI, _AT_LO, _BASIC, DROP_TOL, INF_BOUND,
+                          OPT_TOL, SPARSE_PRICING_DENSITY, LpProblem, LpStart,
                           LpStatus, _Tableau, brute_force_lp, remap_start,
                           slack_start, solve_lp)
 
@@ -371,6 +371,7 @@ def test_eta_update_matches_dense_rank_one(rng):
         if trial % 2:  # also from a factored basis, not just the crash one
             t.warm_start(LpStart(basis=t.basis.copy(),
                                  col_status=t.status.copy()))
+        t.price(np.concatenate([prob.c, np.zeros(t.n_cols - n)]))
         for _ in range(min(m, 40)):
             enter = [j for j in range(t.n_enter) if t.status[j] != _BASIC
                      and np.any(t.ftran(j))]
@@ -384,7 +385,7 @@ def test_eta_update_matches_dense_rank_one(rng):
             ref[r, :] /= w[r]
             others = np.arange(m) != r
             ref[others, :] -= np.outer(w[others], ref[r, :])
-            t.pivot(r, j, w, 0.0, _AT_LO)
+            t.pivot(r, j, w, 0.0, _AT_LO, t.tableau_row(r))
             np.testing.assert_array_equal(t.binv, ref)
             pivots += 1
             for k in range(t.n_struct, t.n_cols):
@@ -591,3 +592,131 @@ def test_slack_start_matches_cold(rng, signed):
             assert sol.phase1_iterations == 0
         solved[sol.status] += 1
     assert solved[LpStatus.OPTIMAL] >= 150 and solved[LpStatus.INFEASIBLE] >= 10
+
+
+def child_lp(rng, prob, x):
+    """``prob`` with one to four random rows appended, each violated at x
+    about half the time, as a lazy round or a branch appends them."""
+    extra = int(rng.integers(1, 5))
+    rows = rng.normal(size=(extra, prob.n)) * (rng.random((extra, prob.n)) < 0.2)
+    return LpProblem(c=prob.c, a_eq=prob.a_eq, b_eq=prob.b_eq,
+                     a_le=np.vstack([prob.a_le, rows]),
+                     b_le=np.concatenate([prob.b_le, rows @ x
+                                          + rng.normal(size=extra) * 0.3]),
+                     lo=prob.lo, hi=prob.hi)
+
+
+def fresh_d(t):
+    """The reduced costs of a fresh price, leaving the kept ones in place."""
+    kept, fresh = t.d.copy(), t.fresh
+    t.price()
+    d = t.d
+    t.d, t.fresh = kept, fresh
+    return d
+
+
+def assert_dual_feasible(prob, sol):
+    """Factored and priced afresh, ``sol``'s basis offers no movable
+    nonbasic column that would improve the objective."""
+    t = _Tableau(prob)
+    assert t.warm_start(LpStart(basis=sol.basis, col_status=sol.col_status))
+    t.price(np.concatenate([prob.c, np.zeros(t.n_cols - prob.n)]))
+    tol = OPT_TOL * (1.0 + np.max(np.abs(prob.c)))
+    ne = t.n_enter
+    state = t.status[:ne]
+    wrong = (((state == _AT_LO) & (t.d < -tol))
+             | ((state == _AT_HI) & (t.d > tol)))
+    assert not np.any(wrong & (t.hi[:ne] > t.lo[:ne]))
+
+
+def test_kept_reduced_costs_match_fresh_price(rng, monkeypatch):
+    """After every pivot, the reduced costs kept by the update d -= theta_d
+    alpha equal a fresh price to OPT_TOL times the cost scale: in the primal
+    loop, among its bound flips, in the dual loop from a warm start, and
+    across the refactorization every 100 pivots, which prices afresh."""
+    seen = {"pivots": 0, "refactors": 0}
+    pivot = _Tableau.pivot
+
+    def checked_pivot(t, *args):
+        pivot(t, *args)
+        seen["pivots"] += 1
+        seen["refactors"] += t.since_refactor == 0
+        assert t.fresh == (t.since_refactor == 0)  # updated, not re-priced
+        scale = 1.0 + np.max(np.abs(t.cost))
+        assert np.max(np.abs(t.d - fresh_d(t))) <= OPT_TOL * scale
+
+    monkeypatch.setattr(_Tableau, "pivot", checked_pivot)
+    flips = dual = most = 0
+    for _ in range(6):
+        m_eq, m_le = int(rng.integers(0, 10)), int(rng.integers(60, 100))
+        prob = sparse_lp(rng, 150, m_eq, m_le)
+        before = seen["pivots"]
+        sol = solve_lp(prob)
+        assert sol.status is LpStatus.OPTIMAL
+        pivots = seen["pivots"] - before
+        flips += sol.iterations - pivots
+        most = max(most, pivots)
+        for _ in range(3):
+            child = child_lp(rng, prob, sol.x)
+            warm = solve_lp(child, start=remap_start(sol, 150, m_eq,
+                                                     child.b_le.size))
+            assert warm.warm
+            dual += warm.dual_iterations
+    assert most > 100 and seen["refactors"] >= 1
+    assert flips >= 50 and dual >= 30
+
+
+def test_optimal_only_on_fresh_price(rng):
+    """Every OPTIMAL solution, cold or warm, has a basis that a fresh price
+    finds dual feasible."""
+    optimal = {False: 0, True: 0}
+    for i in range(60):
+        prob = (sparse_lp(rng, 120, int(rng.integers(0, 6)),
+                          int(rng.integers(20, 40)))
+                if i % 4 == 0 else random_lp(rng))
+        sol = solve_lp(prob)
+        if sol.status is not LpStatus.OPTIMAL:
+            continue
+        child = child_lp(rng, prob, sol.x)
+        warm = solve_lp(child, start=remap_start(sol, prob.n, prob.b_eq.size,
+                                                 child.b_le.size))
+        for p, s in ((prob, sol), (child, warm)):
+            if s.status is LpStatus.OPTIMAL:
+                assert_dual_feasible(p, s)
+                optimal[s.warm] += 1
+    assert optimal[False] >= 30 and optimal[True] >= 20
+
+
+def test_false_optimum_is_repriced(rng, monkeypatch):
+    """Zeroing the kept d after each pivot makes the basis look optimal;
+    the primal loop prices afresh before it returns, and so reaches the
+    optimum of an unpatched solve, with one extra price per pivot."""
+    counts = {"price": 0, "pivot": 0}
+    pivot, price = _Tableau.pivot, _Tableau.price
+
+    def zeroing_pivot(t, *args):
+        pivot(t, *args)
+        counts["pivot"] += 1
+        if not t.fresh:
+            t.d[:] = 0.0
+
+    def counted_price(t, *args):
+        counts["price"] += 1
+        return price(t, *args)
+
+    for i in range(30):
+        prob = (sparse_lp(rng, 120, int(rng.integers(0, 6)),
+                          int(rng.integers(20, 40)))
+                if i % 3 == 0 else random_lp(rng, n=int(rng.integers(4, 9))))
+        ref = solve_lp(prob)
+        counts.update(price=0, pivot=0)
+        with monkeypatch.context() as mp:
+            mp.setattr(_Tableau, "pivot", zeroing_pivot)
+            mp.setattr(_Tableau, "price", counted_price)
+            sol = solve_lp(prob)
+        assert sol.status is ref.status
+        if sol.status is LpStatus.OPTIMAL:
+            assert sol.objective == pytest.approx(ref.objective, rel=1e-9,
+                                                  abs=1e-9)
+            assert_dual_feasible(prob, sol)
+        assert counts["price"] >= counts["pivot"]
