@@ -124,6 +124,7 @@ def _solution_csv(sol, scens, flow_rows: int, surrogate_rows: int) -> str:
     lines = ["# objective=%.10g" % sol.objective,
              "# gap=%.3g" % sol.stats.gap,
              "# nodes=%d" % sol.stats.nodes,
+             "# lp_iterations=%d" % sol.stats.lp_iterations,
              "# wall_time_ms=%.3g" % (1000.0 * sol.stats.wall_time),
              "# flow_rows=%d surrogate_rows=%d" % (flow_rows, surrogate_rows),
              "section,g,s,t,value"]

@@ -34,9 +34,13 @@ zero. A warm solve factors the given basis, reoptimizes it with the dual
 simplex (which needs a dual feasible basis, as an optimal one stays after
 rows are appended or bounds tightened) and finishes with phase 2 as
 cleanup. Every TSUC node LP is solved this way, the root from ``slack_start``;
-the DCOPF and the dispatch LPs solve cold. Both use a Dantzig-style rule
-and fall back to Bland's rule after 2*(m+n) iterations to guarantee
-termination on cycling instances.
+the DCOPF and the dispatch LPs solve cold. The primal simplex enters the
+column with the largest reduced cost (Dantzig); the dual simplex leaves on
+the violated row with the largest viol^2 / beta_i, dual steepest edge
+(Forrest and Goldfarb, Math. Programming 57, 1992), with beta_i = |row i of
+B^-1|^2 computed exactly at each refactorization and updated at each pivot
+(``_Tableau.pivot``). Both fall back to Bland's rule after 2*(m+n)
+iterations to guarantee termination on cycling instances.
 
 Every lower bound is finite; an upper bound >= INF_BOUND is treated as
 unbounded.
@@ -194,6 +198,7 @@ class _Tableau:
         # The running phase's costs, d under them, and whether price made d.
         self.basis = self.status = self.xval = self.binv = self.cost = None
         self.d, self.fresh = None, False
+        self.beta = None  # dual steepest-edge weights, |row i of B^-1|^2
         self.since_refactor = 0  # pivots since the last factorization
 
     @property
@@ -312,6 +317,7 @@ class _Tableau:
         self.binv[np.ix_(p, f)] = -sign[:, None] * (self.a[np.ix_(rows, cols)]
                                                     @ kinv)
         self.binv[np.abs(self.binv) <= DROP_TOL] = 0.0
+        self.beta = np.einsum("ij,ij->i", self.binv, self.binv)
         self.xval[self.basis] = self.binv @ self.nonbasic_rhs()
         self.since_refactor = 0
         if self.cost is not None:  # in a phase: d afresh on the new B^-1
@@ -342,11 +348,24 @@ class _Tableau:
         self.xval[j] += theta
 
         # Eta update of the inverse, on the block where the rank-one term
-        # is nonzero: the rows where w is, the columns where row r is.
+        # is nonzero: the rows where w is, the columns where row r is. The
+        # same block gives the Forrest-Goldfarb update of the weights, with
+        # rho_i row i of B^-1 and k_i = w_i / w_r: beta_i + k_i^2 beta_r -
+        # 2 k_i rho_i . rho_r, beta_r taken exactly as rho_r . rho_r, kept
+        # at or above k_i^2 / |a_old|^2 against rounding (the new row i
+        # times the leaving column is -k_i); row r's is beta_r / w_r^2.
         row = self.binv[r] / w[r]
         rows, cols = np.flatnonzero(w), np.flatnonzero(row)
-        self.binv[np.ix_(rows, cols)] -= np.multiply.outer(w[rows], row[cols])
+        block, rho_r = self.binv[np.ix_(rows, cols)], self.binv[r, cols]
+        k, beta_r = w[rows] / w[r], rho_r @ rho_r
+        beta = self.beta[rows] + k * (k * beta_r - 2.0 * (block @ rho_r))
+        a_old = self.a[:, old] if old < self.n_struct else 1.0
+        self.beta[rows] = np.maximum(beta, k * k / np.dot(a_old, a_old))
+        self.beta[r] = beta_r / (w[r] * w[r])
+        block -= np.multiply.outer(w[rows], row[cols])
+        self.binv[np.ix_(rows, cols)] = block
         self.binv[r] = row
+        del block  # no copy of the old B^-1 outlives a refactorization
         self.since_refactor += 1
         if self.since_refactor >= 100:
             self.refactor()
@@ -467,9 +486,11 @@ def solve_lp(problem: LpProblem, *, start: LpStart | None = None) -> LpSolution:
 
     def dual_phase() -> LpStatus:
         """Bounded dual simplex from a dual feasible basis, until the basis
-        is primal feasible. The leaving row has the largest bound
-        violation; a row that no nonbasic column can move toward its bound
-        certifies infeasibility."""
+        is primal feasible. The leaving row is the violated one with the
+        largest viol^2 / beta_i, beta_i the squared norm of row i of B^-1,
+        set exactly at each refactorization and kept through each pivot by
+        ``_Tableau.pivot``; a row that no nonbasic column can move toward
+        its bound certifies infeasibility."""
         nonlocal iters
         t.price(c_phase2)
         while True:
@@ -483,7 +504,7 @@ def solve_lp(problem: LpProblem, *, start: LpStart | None = None) -> LpSolution:
                 return LpStatus.ITERATION_LIMIT
             bland = iters > bland_after
             r = int(bad[np.argmin(t.basis[bad])] if bland
-                    else bad[np.argmax(viol[bad])])
+                    else bad[np.argmax(viol[bad] ** 2 / t.beta[bad])])
             rises = below[r] > 0  # x_r must rise to its lower bound
             # x_r falls by alpha_j per unit rise of nonbasic column j, so
             # g_j is its move toward the bound.

@@ -86,6 +86,7 @@ class Schedule:
 class SolveStats:
     nodes: int = 0
     lp_solves: int = 0
+    lp_iterations: int = 0  # simplex iterations over node and dispatch LPs
     cold_fallbacks: int = 0  # node LPs given a start that solved cold
     wall_time: float = 0.0
     gap: float = 0.0
@@ -370,6 +371,7 @@ def _solve_node(
                  else remap_start(base, n, m_eq, m_le))
         sol = solve_lp(milp.lp_problem(fix), start=start)
         stats.lp_solves += 1
+        stats.lp_iterations += sol.iterations
         stats.cold_fallbacks += not sol.warm
         if sol.status is not LpStatus.OPTIMAL or not milp.add_violated_rows(sol.x):
             return sol
@@ -480,8 +482,7 @@ def _price_schedule(
     cost = float(sum(first.ravel()))  # term by term, g-major
     p_all = np.zeros((milp.G, milp.S, milp.T))
     for s in range(milp.S):
-        stats.lp_solves += 1
-        feasible, c_s, p = _dispatch_lp(milp, u, s)
+        feasible, c_s, p = _dispatch_lp(milp, u, s, stats)
         if not feasible:
             return None
         cost += c_s
@@ -559,12 +560,13 @@ def solve_tsuc(
 
 
 def _dispatch_lp(
-    milp: _Milp, u: np.ndarray, s: int,
+    milp: _Milp, u: np.ndarray, s: int, stats: SolveStats,
 ) -> tuple[bool, float, np.ndarray | None]:
     """Second-stage LP for one scenario under a fixed binary commitment.
 
     Columns are delta[(t*G + g)*K + k]; every row of the dispatch table
-    applies, with the committed minimum output pmin*u on the right.
+    applies, with the committed minimum output pmin*u on the right. The LP
+    and its iterations are counted in ``stats``.
     """
     G, T, K = milp.G, milp.T, milp.K
     base_p = (u.T * milp.pmin).ravel()  # hour-major, like the table
@@ -573,6 +575,8 @@ def _dispatch_lp(
         (milp.load_total[s] - milp.wind_total[s]
          - base_p.reshape(T, G).sum(axis=1)),
         milp.row_coef, milp.row_rhs[s] - milp.row_coef @ base_p))
+    stats.lp_solves += 1
+    stats.lp_iterations += sol.iterations
     if sol.status is not LpStatus.OPTIMAL:
         return False, np.inf, None
     p = base_p + sol.x.reshape(T * G, K).sum(axis=1)

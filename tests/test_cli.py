@@ -86,6 +86,9 @@ def test_solve_full_reports_row_counts(capsys, tmp_path):
     body = out.read_text()
     assert body.startswith("# objective=")
     assert "# flow_rows=168 surrogate_rows=0\n" in body
+    lp_iterations = [line for line in body.splitlines()
+                     if line.startswith("# lp_iterations=")]
+    assert len(lp_iterations) == 1 and int(lp_iterations[0][16:]) > 0
     assert "section,g,s,t,value" in body
 
 

@@ -8,7 +8,8 @@ from ucsm.grid import build_matrices
 from ucsm.pwl import pwl_cost
 from ucsm.scenarios import build_scenarios
 from ucsm.simplex import FEAS_TOL, LpStatus, solve_lp
-from ucsm.tsuc import TsucInstance, TsucMode, _dispatch_lp, build_milp
+from ucsm.tsuc import (SolveStats, TsucInstance, TsucMode, _dispatch_lp,
+                       build_milp)
 
 
 def test_wind_length_mismatch(tiny_case):
@@ -180,7 +181,7 @@ def test_matches_tsuc_dispatch_lp(sixbus, grid24):
             milp = build_milp(TsucInstance(case, scen, 1, TsucMode.FULL_NETWORK,
                                            pwl_segments=SEGMENTS))
             feasible, cost, p = _dispatch_lp(
-                milp, np.ones((case.n_gens, 1), dtype=int), 0)
+                milp, np.ones((case.n_gens, 1), dtype=int), 0, SolveStats())
             res = solve_dcopf(case, scen[0].wind_mw[:, 0],
                               scen[0].loads(case)[:, 0])
             assert feasible is (res.status is LpStatus.OPTIMAL)

@@ -629,11 +629,11 @@ def assert_dual_feasible(prob, sol):
     assert not np.any(wrong & (t.hi[:ne] > t.lo[:ne]))
 
 
-def test_kept_reduced_costs_match_fresh_price(rng, monkeypatch):
-    """After every pivot, the reduced costs kept by the update d -= theta_d
-    alpha equal a fresh price to OPT_TOL times the cost scale: in the primal
-    loop, among its bound flips, in the dual loop from a warm start, and
-    across the refactorization every 100 pivots, which prices afresh."""
+def check_every_pivot(rng, monkeypatch, check):
+    """Run ``check(t)`` after every pivot of six cold sparse LPs of 150
+    columns and three warm children of each: pivots of the primal loop,
+    among its bound flips, of the dual loop, and across the refactorization
+    every 100 pivots."""
     seen = {"pivots": 0, "refactors": 0}
     pivot = _Tableau.pivot
 
@@ -641,9 +641,7 @@ def test_kept_reduced_costs_match_fresh_price(rng, monkeypatch):
         pivot(t, *args)
         seen["pivots"] += 1
         seen["refactors"] += t.since_refactor == 0
-        assert t.fresh == (t.since_refactor == 0)  # updated, not re-priced
-        scale = 1.0 + np.max(np.abs(t.cost))
-        assert np.max(np.abs(t.d - fresh_d(t))) <= OPT_TOL * scale
+        check(t)
 
     monkeypatch.setattr(_Tableau, "pivot", checked_pivot)
     flips = dual = most = 0
@@ -664,6 +662,30 @@ def test_kept_reduced_costs_match_fresh_price(rng, monkeypatch):
             dual += warm.dual_iterations
     assert most > 100 and seen["refactors"] >= 1
     assert flips >= 50 and dual >= 30
+
+
+def test_kept_reduced_costs_match_fresh_price(rng, monkeypatch):
+    """After every pivot, the reduced costs kept by the update d -= theta_d
+    alpha equal a fresh price to OPT_TOL times the cost scale; the
+    refactorization every 100 pivots prices afresh."""
+    def check(t):
+        assert t.fresh == (t.since_refactor == 0)  # updated, not re-priced
+        scale = 1.0 + np.max(np.abs(t.cost))
+        assert np.max(np.abs(t.d - fresh_d(t))) <= OPT_TOL * scale
+
+    check_every_pivot(rng, monkeypatch, check)
+
+
+def test_dual_weights_match_row_norms(rng, monkeypatch):
+    """After every pivot, the kept dual steepest-edge weights equal the
+    squared row norms of B^-1 to a relative 1e-8; the refactorization every
+    100 pivots computes them afresh, exact to summation order."""
+    def check(t):
+        rtol = 1e-14 if t.since_refactor == 0 else 1e-8
+        np.testing.assert_allclose(t.beta, np.sum(t.binv ** 2, axis=1),
+                                   rtol=rtol, atol=0.0)
+
+    check_every_pivot(rng, monkeypatch, check)
 
 
 def test_optimal_only_on_fresh_price(rng):

@@ -327,6 +327,31 @@ def test_root_bound_below_incumbent(tiny_case):
     assert sol.stats.lp_solves >= sol.stats.nodes
 
 
+def test_lp_iterations_sum_every_lp(sixbus, tiny_case, monkeypatch):
+    """``lp_iterations`` is the sum of ``LpSolution.iterations`` over every
+    LP the solve runs: node LPs, warm, and the heuristic's or the oracle's
+    dispatch LPs, cold."""
+    seen = []
+
+    def spy(*args, **kwargs):
+        sol = solve_lp(*args, **kwargs)
+        seen.append((kwargs.get("start") is not None, sol.iterations))
+        return sol
+
+    monkeypatch.setattr(tsuc, "solve_lp", spy)
+    full = TsucInstance(sixbus, build_scenarios(sixbus, 3, 4, 0), 4,
+                        TsucMode.FULL_NETWORK, pwl_segments=3)
+    tiny = TsucInstance(tiny_case, build_scenarios(tiny_case, 1, 3, 6), 3,
+                        TsucMode.FULL_NETWORK, pwl_segments=3)
+    for solve, inst, kinds in ((solve_tsuc, full, {True, False}),
+                               (brute_force_tsuc, tiny, {False})):
+        seen.clear()
+        sol = solve(inst)
+        assert {node for node, _ in seen} == kinds
+        assert sol.stats.lp_solves == len(seen)
+        assert sol.stats.lp_iterations == sum(it for _, it in seen) > 0
+
+
 def test_node_lps_never_fall_back_to_cold(grid24):
     """At the uc-gap shape (S=5, T=12, K=4, 2% gap) every node LP, the
     root's first round from the slack basis and each later round or child
