@@ -28,19 +28,20 @@ to confirm optimality and for the dual objective; a pivot updates them by
 d -= (d_j / alpha_j) alpha with alpha its pivot row of B^-1 [A | slacks]
 (Koberstein, PhD thesis, Paderborn 2005), and a bound flip keeps them.
 
-A cold solve runs phase 1 from a crash basis of slacks and artificials,
-then phase 2, in which an artificial phase 1 left basic stays pinned at
-zero. A warm solve factors the given basis, reoptimizes it with the dual
-simplex (which needs a dual feasible basis, as an optimal one stays after
-rows are appended or bounds tightened) and finishes with phase 2 as
-cleanup. Every TSUC node LP is solved this way, the root from ``slack_start``;
-the DCOPF and the dispatch LPs solve cold. The primal simplex enters the
+A cold solve runs phase 1 from a crash basis of slacks and artificials, then
+phase 2, in which an artificial phase 1 left basic stays pinned at zero. A
+warm solve factors the given basis, reoptimizes it with the dual simplex
+(which needs a dual feasible basis, as an optimal one stays after rows are
+appended or b or the bounds change) and finishes with phase 2 as cleanup.
+Every TSUC node LP is solved this way, the root from ``slack_start``, and so
+are the heuristic's dispatch LPs, chained from it; the DCOPF and the
+brute-force oracle's dispatch LPs solve cold. The primal simplex enters the
 column with the largest reduced cost (Dantzig); the dual simplex leaves on
 the violated row with the largest viol^2 / beta_i, dual steepest edge
 (Forrest and Goldfarb, Math. Programming 57, 1992), with beta_i = |row i of
 B^-1|^2 computed exactly at each refactorization and updated at each pivot
-(``_Tableau.pivot``). Both fall back to Bland's rule after 2*(m+n)
-iterations to guarantee termination on cycling instances.
+(``_Tableau.pivot``). Both fall back to Bland's rule after 2*(m+n) iterations
+to guarantee termination on cycling instances.
 
 Every lower bound is finite; an upper bound >= INF_BOUND is treated as
 unbounded.

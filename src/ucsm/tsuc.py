@@ -26,8 +26,8 @@ from .dcopf import dispatch_problem, dispatch_segments
 from .errors import FeatureMismatch, TooLarge
 from .grid import GridMatrices, SystemCase, build_matrices
 from .scenarios import Scenario
-from .simplex import (LpProblem, LpSolution, LpStatus, remap_start,
-                      slack_start, solve_lp)
+from .simplex import (LpProblem, LpSolution, LpStart, LpStatus,
+                      remap_start, slack_start, solve_lp)
 from .svm import Hyperplane
 
 SURROGATE_TOL = 1e-9
@@ -87,7 +87,7 @@ class SolveStats:
     nodes: int = 0
     lp_solves: int = 0
     lp_iterations: int = 0  # simplex iterations over node and dispatch LPs
-    cold_fallbacks: int = 0  # node LPs given a start that solved cold
+    cold_fallbacks: int = 0  # node and dispatch LPs given a start, solved cold
     wall_time: float = 0.0
     gap: float = 0.0
 
@@ -192,6 +192,7 @@ class _Milp:
         # Lazy pool: activated rows accumulate in a_le/b_le across the search.
         self.cap_on = np.zeros((G, S, T), dtype=bool)
         self.row_on = np.zeros((S, self.row_tol.size), dtype=bool)
+        self.dispatch_start: LpStart | None = None  # see _dispatch_lp
 
     def _p_rows(self, coef: np.ndarray, s: np.ndarray) -> np.ndarray:
         """Full-width rows coef[r] @ p_{s[r]} over (G, T) dispatch
@@ -432,8 +433,9 @@ def _heuristic_incumbent(
     """Round-and-repair primal heuristic: an incumbent (cost, u, p).
 
     Rounds the relaxation's commitment, repairs the up/down logic, and
-    prices the result with one exact dispatch LP per scenario. Returns
-    (inf, None, None) when no candidate can be dispatched.
+    prices the result with one exact dispatch LP per scenario, chained
+    from the slack basis (``_dispatch_lp``). Returns (inf, None, None)
+    when no candidate can be dispatched.
     """
     inst, case = milp.inst, milp.inst.case
     G, T = milp.G, milp.T
@@ -507,6 +509,7 @@ def solve_tsuc(
     t_start = time.perf_counter()
     stats = SolveStats()
     milp = build_milp(inst, mats)
+    milp.dispatch_start = slack_start(milp.d_idx[:, 0].size, milp.T, milp.row_tol.size)
 
     counter = itertools.count()
     best = (np.inf, None, None)  # incumbent (objective, u, p)
@@ -565,20 +568,31 @@ def _dispatch_lp(
     """Second-stage LP for one scenario under a fixed binary commitment.
 
     Columns are delta[(t*G + g)*K + k]; every row of the dispatch table
-    applies, with the committed minimum output pmin*u on the right. The LP
-    and its iterations are counted in ``stats``.
+    applies, with the committed minimum output pmin*u on the right. All
+    such LPs share A and c: each starts in the dual simplex from
+    ``milp.dispatch_start``, the slack basis (set by ``solve_tsuc``) and
+    then the last OPTIMAL one's basis, or with none (``brute_force_tsuc``)
+    solves cold. A warm solve that ends neither OPTIMAL nor INFEASIBLE is
+    solved again cold. The LPs and their iterations are counted in ``stats``.
     """
     G, T, K = milp.G, milp.T, milp.K
     base_p = (u.T * milp.pmin).ravel()  # hour-major, like the table
-    sol = solve_lp(dispatch_problem(
+    prob = dispatch_problem(
         milp.slopes, milp.widths, u.T,
         (milp.load_total[s] - milp.wind_total[s]
          - base_p.reshape(T, G).sum(axis=1)),
-        milp.row_coef, milp.row_rhs[s] - milp.row_coef @ base_p))
-    stats.lp_solves += 1
-    stats.lp_iterations += sol.iterations
+        milp.row_coef, milp.row_rhs[s] - milp.row_coef @ base_p)
+    sols = [solve_lp(prob, start=milp.dispatch_start)]
+    if sols[0].warm and sols[0].status not in (LpStatus.OPTIMAL, LpStatus.INFEASIBLE):
+        sols.append(solve_lp(prob))
+    sol = sols[-1]
+    stats.lp_solves += len(sols)
+    stats.lp_iterations += sum(x.iterations for x in sols)
+    stats.cold_fallbacks += milp.dispatch_start is not None and not sol.warm
     if sol.status is not LpStatus.OPTIMAL:
         return False, np.inf, None
+    if milp.dispatch_start is not None:
+        milp.dispatch_start = LpStart(sol.basis, sol.col_status)
     p = base_p + sol.x.reshape(T * G, K).sum(axis=1)
     pi = milp.inst.scenarios[s].probability
     return True, pi * float(sol.objective), p.reshape(T, G).T

@@ -1,4 +1,5 @@
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -32,3 +33,23 @@ def test_readme_package_layout_names_every_module():
             if line.startswith("| `")]
     modules = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert sorted(rows) == modules
+
+
+def test_readme_node_counts_equal_the_ci_pins():
+    """The seed-1 node counts that README's Tests section gives are the ones
+    the CI step "UC pins hold" checks, in the same order."""
+    root = SRC.parents[1]
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    step = workflow.split("name: UC pins hold", 1)[1]
+    pins = {}
+    for workload, args in re.findall(r"^\s*check (uc-\S+)((?:.*\\\n)*.*)$",
+                                     step, re.M):
+        pins[workload] = [int(label.split()[1])
+                          for label in re.findall(r'"([^"]+)"', args)]
+    readme = (root / "README.md").read_text()
+    tests = readme.split("## Tests", 1)[1].split("\n## ", 1)[0]
+    text = " ".join(tests.split())
+    exact = re.search(r"uc-exact solves of `perfbench` take ([\d/]+) nodes", text)
+    gap = re.search(r"two uc-gap solves take (\d+) and (\d+)", text)
+    assert pins == {"uc-exact": [int(n) for n in exact[1].split("/")],
+                    "uc-gap": [int(gap[1]), int(gap[2])]}

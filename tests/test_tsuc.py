@@ -8,7 +8,7 @@ from ucsm.errors import FeatureMismatch, TooLarge
 from ucsm.grid import build_matrices, load_bundled_case
 from ucsm.pwl import pwl_cost
 from ucsm.scenarios import build_scenarios, feature_vector
-from ucsm.simplex import LpStatus, solve_lp
+from ucsm.simplex import LpSolution, LpStatus, solve_lp
 from ucsm.svm import Hyperplane
 from ucsm.tsuc import (FLOW_TOL_MW, SURROGATE_TOL, TsucInstance, TsucMode,
                        TsucStatus, brute_force_tsuc, build_milp,
@@ -329,8 +329,9 @@ def test_root_bound_below_incumbent(tiny_case):
 
 def test_lp_iterations_sum_every_lp(sixbus, tiny_case, monkeypatch):
     """``lp_iterations`` is the sum of ``LpSolution.iterations`` over every
-    LP the solve runs: node LPs, warm, and the heuristic's or the oracle's
-    dispatch LPs, cold."""
+    LP the solve runs. ``solve_tsuc`` gives every LP a start, node LPs and
+    the heuristic's dispatch LPs alike; the oracle's dispatch LPs solve
+    cold."""
     seen = []
 
     def spy(*args, **kwargs):
@@ -343,20 +344,22 @@ def test_lp_iterations_sum_every_lp(sixbus, tiny_case, monkeypatch):
                         TsucMode.FULL_NETWORK, pwl_segments=3)
     tiny = TsucInstance(tiny_case, build_scenarios(tiny_case, 1, 3, 6), 3,
                         TsucMode.FULL_NETWORK, pwl_segments=3)
-    for solve, inst, kinds in ((solve_tsuc, full, {True, False}),
+    for solve, inst, kinds in ((solve_tsuc, full, {True}),
                                (brute_force_tsuc, tiny, {False})):
         seen.clear()
         sol = solve(inst)
-        assert {node for node, _ in seen} == kinds
+        assert {started for started, _ in seen} == kinds
         assert sol.stats.lp_solves == len(seen)
         assert sol.stats.lp_iterations == sum(it for _, it in seen) > 0
 
 
-def test_node_lps_never_fall_back_to_cold(grid24):
-    """At the uc-gap shape (S=5, T=12, K=4, 2% gap) every node LP, the
-    root's first round from the slack basis and each later round or child
-    from its predecessor, solves from the start it is given, in full mode
-    and under a halfspace trained on grid24 that weights every unit."""
+def test_node_lps_never_fall_back_to_cold(grid24, monkeypatch):
+    """At the uc-gap shape (S=5, T=12, K=4, 2% gap) every LP solves from
+    the start it is given, in full mode and under a halfspace trained on
+    grid24 that weights every unit: each node LP, the root's first round
+    from the slack basis and each later round or child from its
+    predecessor, and each heuristic dispatch LP, the first from the slack
+    basis and each later one from the last optimal one."""
     w = np.array([0.018887562143126375, 0.0012199448061496702,
                   0.021455786685244414, 0.0337488653383837,
                   -0.03877592045992022, 0.06659078148767143,
@@ -364,14 +367,94 @@ def test_node_lps_never_fall_back_to_cold(grid24):
     hp = Hyperplane(weights_scaled=w.copy(), bias_scaled=15.707377572017467,
                     weights_physical=w, bias_physical=15.707377572017467,
                     feature_names=tuple(grid24.feature_names()))
+    starts = []
+
+    def spy(*args, **kwargs):
+        sol = solve_lp(*args, **kwargs)
+        starts.append(kwargs.get("start") is not None and sol.warm)
+        return sol
+
+    monkeypatch.setattr(tsuc, "solve_lp", spy)
     scens = build_scenarios(grid24, 5, 12, 0)
     for mode, model in ((TsucMode.FULL_NETWORK, None),
                         (TsucMode.SURROGATE, hp)):
+        starts.clear()
         sol = solve_tsuc(TsucInstance(grid24, scens, 12, mode,
                                       hyperplane=model, pwl_segments=4),
                          gap_tol=0.02)
         assert sol.status is TsucStatus.OPTIMAL
         assert sol.stats.cold_fallbacks == 0
+        assert all(starts) and len(starts) == sol.stats.lp_solves
+
+
+def test_chained_dispatch_lps_match_cold(grid24, rng, monkeypatch):
+    """The heuristic's dispatch LPs, the first from the slack basis and each
+    later one from the last optimal one, give cold solves' statuses and
+    objectives. After ``solve_tsuc``, random repaired schedules are priced
+    in sequence on its MILP, dispatchable ones interleaved with ones that
+    are not; in full mode and under a halfspace that caps unit 0 at
+    150 MW, so its rows bind. No LP runs a primal phase 1."""
+    G, T, K = grid24.n_gens, 6, 3
+    milps, seen = [], []
+
+    def keep(*args):
+        milps.append(build_milp(*args))
+        return milps[-1]
+
+    def spy(problem, **kwargs):
+        sol = solve_lp(problem, **kwargs)
+        if problem.n == G * T * K:  # a dispatch LP, not a node LP
+            seen.append((problem, sol))
+        return sol
+
+    monkeypatch.setattr(tsuc, "build_milp", keep)
+    monkeypatch.setattr(tsuc, "solve_lp", spy)
+    capped = make_hyperplane(grid24, w_p=-np.eye(G)[0], bias=150.0)
+    statuses = set()
+    for mode, hyperplane in ((TsucMode.FULL_NETWORK, None),
+                             (TsucMode.SURROGATE, capped)):
+        inst = TsucInstance(grid24, build_scenarios(grid24, 3, T, 5), T,
+                            mode, hyperplane=hyperplane, pwl_segments=K)
+        milps.clear()
+        seen.clear()
+        assert solve_tsuc(inst, gap_tol=0.02).status is TsucStatus.OPTIMAL
+        for i in range(16):
+            u = (rng.random((G, T)) < (0.9 if i % 2 else 0.3)).astype(int)
+            u = tsuc._repair_schedule(grid24, u, inst.initial_status)
+            tsuc._price_schedule(milps[0], u, tsuc.SolveStats())
+        for problem, sol in seen:
+            cold = solve_lp(problem)
+            assert sol.status is cold.status
+            statuses.add(sol.status)
+            if sol.status is LpStatus.OPTIMAL:
+                assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
+            assert sol.warm and sol.phase1_iterations == 0
+    assert statuses == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
+
+
+def test_dispatch_lp_resolves_cold_without_a_certificate(sixbus, monkeypatch):
+    """A warm dispatch LP that stops at the iteration limit does not reject
+    its schedule: it is solved again cold, counted as a cold fallback, and
+    the schedule is priced at the cold objective."""
+    def stalls_warm(problem, *, start=None):
+        if start is None:
+            return solve_lp(problem)
+        return LpSolution(LpStatus.ITERATION_LIMIT, np.zeros(problem.n),
+                          np.nan, 7, warm=True)
+
+    inst = TsucInstance(sixbus, build_scenarios(sixbus, 3, 4, 0), 4,
+                        TsucMode.FULL_NETWORK, pwl_segments=3)
+    u = np.ones((sixbus.n_gens, 4), dtype=int)
+    cold = tsuc._price_schedule(build_milp(inst), u, tsuc.SolveStats())
+    assert cold is not None
+    monkeypatch.setattr(tsuc, "solve_lp", stalls_warm)
+    milp, stats = build_milp(inst), tsuc.SolveStats()
+    milp.dispatch_start = tsuc.slack_start(milp.d_idx[:, 0].size, 4,
+                                           milp.row_tol.size)
+    priced = tsuc._price_schedule(milp, u, stats)
+    assert priced is not None and priced[0] == cold[0]
+    np.testing.assert_array_equal(priced[2], cold[2])
+    assert stats.cold_fallbacks == 3 and stats.lp_solves == 6
 
 
 def test_deterministic_objective(tiny_case):
