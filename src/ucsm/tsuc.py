@@ -131,8 +131,8 @@ class _Milp:
     layout: u is hour-major so branching ties prefer earlier hours, y and z
     sit at n_u + u_idx and 2*n_u + u_idx, and delta follows them.
 
-    Eager rows: transition logic, min-up/min-down, per-(s,t) system balance,
-    and the capacity link sum(delta) <= (pmax - pmin) u. Lazy families (the
+    Eager rows: 5*G*T <= rows (transition and Rajan-Takriti min-up/min-down
+    pairs, the aggregated capacity link), per-(s,t) balance. Lazy families (the
     exact capacity link per (g, s, t) and the dispatch table's ramp,
     line-flow or surrogate rows per (s, r)) are appended to a_le/b_le only
     when violated; the masks cap_on (G, S, T) and row_on (S, R) mark the
@@ -207,40 +207,38 @@ class _Milp:
     def _build_eager_rows(self):
         inst, case = self.inst, self.inst.case
         G, S, T, n_u, u = self.G, self.S, self.T, self.n_u, self.u_idx
-        # Min-up window y_t - u_tau <= 0 (j = 0) and min-down window
-        # z_t + u_tau <= 1 (j = 1) per (g, t, tau), cut at the horizon.
-        win = np.array([(g, t, tau, j)
-                        for g, gen in enumerate(case.generators)
-                        for t in range(T)
-                        for j, span in enumerate((gen.min_up, gen.min_down))
-                        for tau in range(t, min(t + span, T))]).T
-        n_tr = 2 * n_u
-        n_win = win.shape[1]
-        self.a_le = np.zeros((n_tr + n_win + n_u, self.ncols))
-        self.b_le = np.zeros(n_tr + n_win + n_u)
+        # 5*G*T rows: a transition pair and a Rajan-Takriti pair per (g, t),
+        # then the aggregated capacity link per (g, t). In both pairs j = 0
+        # acts on y and j = 1 on z, column (1 + j)*n_u + u.
+        self.a_le = np.zeros((5 * n_u, self.ncols))
+        self.b_le = np.zeros(5 * n_u)
+        tr, rt = self.a_le[:4 * n_u].reshape(2, G, T, 2, self.ncols)
+        b_tr, b_rt = self.b_le[:4 * n_u].reshape(2, G, T, 2)
+        g, t, j = np.indices((G, T, 2))
+        yz = (1 + j) * n_u + u[..., None]
 
-        # Transition pair per (g, t): u_t - u_{t-1} - y_t <= 0 and
+        # Transition pair: u_t - u_{t-1} - y_t <= 0 and
         # u_{t-1} - u_t - z_t <= 0, with u_{-1} = u0 moved to the right.
         sign = np.array([1.0, -1.0])
-        tr = self.a_le[:n_tr].reshape(G, T, 2, self.ncols)
-        g, t, j = np.indices((G, T, 2))
         tr[g, t, j, u[..., None]] = sign
-        tr[g, t, j, (1 + j) * n_u + u[..., None]] = -1.0
+        tr[g, t, j, yz] = -1.0
         tr[g[:, 1:], t[:, 1:], j[:, 1:], u[:, :-1, None]] = -sign
-        u0 = np.asarray(inst.initial_status, dtype=float)
-        self.b_le[:n_tr].reshape(G, T, 2)[:, 0] = u0[:, None] * sign
+        b_tr[:, 0] = np.asarray(inst.initial_status, dtype=float)[:, None] * sign
 
-        g, t, tau, j = win
-        r = n_tr + np.arange(n_win)
-        self.a_le[r, (1 + j) * n_u + u[g, t]] = 1.0
-        self.a_le[r, u[g, tau]] = 2 * j - 1
-        self.b_le[r] = j
+        # Rajan-Takriti pair: the starts of the last min_up hours
+        # sum(y) - u_t <= 0 and the stops of the last min_down hours
+        # sum(z) + u_t <= 1, both cut at hour 0.
+        rt[g, t, j, u[..., None]] = 2 * j - 1
+        b_rt[:] = j
+        span = np.array([(gen.min_up, gen.min_down) for gen in case.generators])
+        g, t, j, tau = np.indices((G, T, 2, T))
+        rt[g, t, j, yz[g, tau, j]] = (t - span[g, j] < tau) & (tau <= t)
 
         # Aggregated capacity link per (g, t): the scenario sum of the exact
         # rows sum_k delta <= (pmax - pmin) u. The individual rows live in
         # the lazy pool; scenarios are statistically alike, so few of them
         # ever activate while the eager system stays S times smaller.
-        agg = self.a_le[n_tr + n_win:].reshape(G, T, self.ncols)
+        agg = self.a_le[4 * n_u:].reshape(G, T, self.ncols)
         g, t = np.indices((G, T))
         agg[g[..., None], t[..., None],
             self.d_idx.transpose(0, 2, 1, 3).reshape(G, T, -1)] = 1.0

@@ -123,6 +123,24 @@ def test_inverse_of_singular_matrix_raises():
         _inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
+def test_solves_known_system():
+    a = np.array([[2.0, 1.0], [1.0, 3.0]])
+    b = np.array([5.0, 10.0])
+    x = _inverse(a) @ b
+    np.testing.assert_allclose(a @ x, b, atol=1e-12)
+
+
+def test_random_systems_match_numpy(rng):
+    for _ in range(50):
+        n = int(rng.integers(1, 12))
+        a = rng.normal(size=(n, n)) + n * np.eye(n)
+        b = rng.normal(size=n)
+        np.testing.assert_allclose(_inverse(a) @ b, np.linalg.solve(a, b),
+                                   rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(_inverse(a), np.linalg.inv(a),
+                                   rtol=1e-9, atol=1e-9)
+
+
 def test_content_hash_sensitive_to_limits():
     a = make_tiny_case(line_limit=120.0)
     b = make_tiny_case(line_limit=121.0)

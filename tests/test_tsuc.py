@@ -1,4 +1,6 @@
+import itertools
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from ucsm.grid import build_matrices, load_bundled_case
 from ucsm.pwl import pwl_cost
 from ucsm.scenarios import build_scenarios, feature_vector
 from ucsm.simplex import LpSolution, LpStatus, solve_lp
-from ucsm.svm import Hyperplane
+from ucsm.svm import Hyperplane, model_from_text
 from ucsm.tsuc import (FLOW_TOL_MW, SURROGATE_TOL, TsucInstance, TsucMode,
                        TsucStatus, brute_force_tsuc, build_milp,
                        constraint_counts, minimal_transitions,
@@ -540,16 +542,18 @@ def _reference_rows(milp, x):
                     row[u_col(g, t - 1)] = -sign
                 a_le.append(row)
                 b_le.append(sign * float(u0[g]) if t == 0 else 0.0)
+    # Rajan-Takriti rows per (g, t, j): the y (j = 0) or z (j = 1) of the
+    # last min_up or min_down hours, cut at hour 0, against u_t.
     for g, gen in enumerate(case.generators):
         for t in range(T):
             for off, span, coef, rhs in ((n_u, gen.min_up, -1.0, 0.0),
                                          (2 * n_u, gen.min_down, 1.0, 1.0)):
-                for tau in range(t, min(t + span, T)):
-                    row = np.zeros(ncols)
-                    row[off + u_col(g, t)] = 1.0
-                    row[u_col(g, tau)] = coef
-                    a_le.append(row)
-                    b_le.append(rhs)
+                row = np.zeros(ncols)
+                for tau in range(max(t - span + 1, 0), t + 1):
+                    row[off + u_col(g, tau)] = 1.0
+                row[u_col(g, t)] = coef
+                a_le.append(row)
+                b_le.append(rhs)
     for g in range(G):
         for t in range(T):
             row = np.zeros(ncols)
@@ -671,3 +675,63 @@ def test_milp_matches_row_rules(grid24, sixbus):
         pooled[0] += n_cap
         pooled[1] += ref["pool_b"].size - n_cap
     assert pooled[0] and pooled[1]  # both lazy families are compared
+
+
+def _window_rows(milp):
+    """Min-up and min-down as one row per hour of the window after t, cut
+    at the horizon: y_t - u_tau <= 0 and z_t + u_tau <= 1."""
+    n_u, u = milp.n_u, milp.u_idx
+    a_le, b_le = [], []
+    for g, gen in enumerate(milp.inst.case.generators):
+        for t in range(milp.T):
+            for off, span, coef, rhs in ((n_u, gen.min_up, -1.0, 0.0),
+                                         (2 * n_u, gen.min_down, 1.0, 1.0)):
+                for tau in range(t, min(t + span, milp.T)):
+                    row = np.zeros(milp.ncols)
+                    row[off + u[g, t]] = 1.0
+                    row[u[g, tau]] = coef
+                    a_le.append(row)
+                    b_le.append(rhs)
+    return np.array(a_le), np.array(b_le)
+
+
+def test_commitment_rows_say_the_repair_rule(sixbus, grid24):
+    """On every binary path of sixbus at T = 4, the commitment rows (every
+    eager <= row before the aggregated capacity link) hold at (u, its
+    minimal transitions) exactly when ``schedule_is_logical`` does. At the
+    uc-exact shape, appending the window rows to the root LP changes
+    neither its status nor its objective."""
+    T = 4
+    G = sixbus.n_gens
+    paths = np.array(list(itertools.product((0, 1), repeat=G * T))
+                     ).reshape(-1, G, T)
+    scens = build_scenarios(sixbus, 1, T, 0)
+    for u0 in ([0, 0, 0], [1, 1, 1], [1, 0, 1]):
+        u0 = np.array(u0)
+        milp = build_milp(TsucInstance(sixbus, scens, T, TsucMode.FULL_NETWORK,
+                                       initial_status=u0))
+        rows = slice(0, 4 * milp.n_u)
+        x = np.zeros((len(paths), milp.ncols))
+        for u, xi in zip(paths, x):
+            for k, v in enumerate((u, *minimal_transitions(u, u0))):
+                xi[k * milp.n_u + milp.u_idx] = v
+        holds = (x @ milp.a_le[rows].T <= milp.b_le[rows]).all(axis=1)
+        logical = [schedule_is_logical(sixbus, u, u0) for u in paths]
+        np.testing.assert_array_equal(holds, logical)
+        assert 0 < holds.sum() < len(paths)
+
+    model = Path(__file__).resolve().parents[1] / "perfbench/data/grid24.model"
+    hyperplane = model_from_text(model.read_text())[0]
+    for seed in (1, 2):
+        scens = build_scenarios(grid24, 2, 6, seed)
+        for mode, hp in ((TsucMode.FULL_NETWORK, None),
+                         (TsucMode.SURROGATE, hyperplane)):
+            milp = build_milp(TsucInstance(grid24, scens, 6, mode,
+                                           hyperplane=hp, pwl_segments=3))
+            lp = milp.lp_problem(())
+            a_win, b_win = _window_rows(milp)
+            both = replace(lp, a_le=np.vstack([lp.a_le, a_win]),
+                           b_le=np.concatenate([lp.b_le, b_win]))
+            sol, sol_both = solve_lp(lp), solve_lp(both)
+            assert sol_both.status is sol.status is LpStatus.OPTIMAL
+            assert sol_both.objective == pytest.approx(sol.objective, rel=1e-9)
