@@ -16,8 +16,8 @@ import numpy as np
 
 from .grid import SystemCase, build_matrices
 from .scenarios import build_scenarios, generate_dataset
-from .svm import (ConfusionMatrix, SvmConfig, evaluate, fit_standardizer,
-                  train_svm, unscale_hyperplane)
+from .svm import (ConfusionMatrix, SvmConfig, TrainReport, evaluate,
+                  fit_standardizer, train_svm, unscale_hyperplane)
 from .tsuc import TsucInstance, TsucMode, constraint_counts, solve_tsuc
 
 @dataclass
@@ -35,8 +35,8 @@ class TrialRow:
 class BenchmarkReport:
     rows: list[TrialRow] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)
-    confusion: ConfusionMatrix | None = None
-    margin: float = float("nan")
+    confusion: ConfusionMatrix | None = None  # of the first trained trial
+    training: TrainReport | None = None       # of the same trial
     reduction_pct: float = float("nan")
 
     def _paired(self):
@@ -74,12 +74,12 @@ class BenchmarkReport:
         buf.write("time saving %%: min %.2f avg %.2f max %.2f\n" % ts)
         buf.write("constraint reduction %%: %.2f\n" % self.reduction_pct)
         if self.confusion is not None:
-            cm = self.confusion
+            cm, tr = self.confusion, self.training
             buf.write(
                 "classifier: tn=%d fp=%d fn=%d tp=%d accuracy %.2f%% "
-                "margin %.4f\n"
+                "margin %.4f passes %d converged %s\n"
                 % (cm.true_neg, cm.false_pos, cm.false_neg, cm.true_pos,
-                   100.0 * cm.accuracy, self.margin)
+                   100.0 * cm.accuracy, tr.margin, tr.passes, tr.converged)
             )
         for err in self.errors:
             buf.write(f"error: {err}\n")
@@ -98,10 +98,11 @@ class BenchmarkReport:
         buf.write("# time_saving_pct_min=%.2f avg=%.2f max=%.2f\n" % ts)
         buf.write("# reduction_pct=%.2f\n" % self.reduction_pct)
         if self.confusion is not None:
-            cm = self.confusion
-            buf.write("# confusion tn=%d fp=%d fn=%d tp=%d accuracy=%.4f\n"
+            cm, tr = self.confusion, self.training
+            buf.write("# confusion tn=%d fp=%d fn=%d tp=%d accuracy=%.4f "
+                      "passes=%d converged=%s\n"
                       % (cm.true_neg, cm.false_pos, cm.false_neg, cm.true_pos,
-                         cm.accuracy))
+                         cm.accuracy, tr.passes, tr.converged))
         for err in self.errors:
             buf.write(f"# error: {err}\n")
         return buf.getvalue()
@@ -153,7 +154,7 @@ def run_benchmark(
             hp = unscale_hyperplane(hs, std)
             if report.confusion is None:
                 report.confusion = evaluate(hp, xte, yte)
-                report.margin = train_rep.margin
+                report.training = train_rep
 
             scens = build_scenarios(case, n_scenarios, horizon, trial_seed)
             for mode, model in ((TsucMode.FULL_NETWORK, None),

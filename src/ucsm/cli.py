@@ -115,7 +115,8 @@ def cmd_train(args) -> int:
           f"fn={cm.false_neg} tp={cm.true_pos}")
     print(f"test accuracy: {100.0 * cm.accuracy:.2f}%  "
           f"false-positive rate: {100.0 * cm.false_positive_rate:.2f}%")
-    print(f"margin: {report.margin:.6f}  converged: {report.converged}")
+    print(f"margin: {report.margin:.6f}  converged: {report.converged}  "
+          f"passes: {report.passes}")
     print("rule:", hp.report_text())
     return EXIT_OK
 

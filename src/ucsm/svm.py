@@ -114,7 +114,7 @@ class Hyperplane:
 
 @dataclass
 class TrainReport:
-    dual_trace: list[float]
+    dual_trace: np.ndarray  # dual objective after each pass
     passes: int
     converged: bool
     margin: float = np.nan
@@ -127,6 +127,11 @@ def train_svm(
     feature_names: tuple[str, ...],
 ) -> tuple[Hyperplane, TrainReport]:
     """Dual coordinate descent on the class-weighted L1-loss linear SVM.
+
+    Each pass visits the samples in a seeded random order. Visits that
+    provably leave their alpha where it is are certified in bulk and
+    skipped; every other visit takes the coordinate step, so the iterates
+    are bit for bit those of one step per visit.
 
     Stops when the projected-gradient range over a full pass drops below
     ``config.tolerance``; otherwise returns the best iterate after
@@ -147,27 +152,52 @@ def train_svm(
     alpha = np.zeros(n)
     w = np.zeros(d + 1)
     rng = np.random.Generator(np.random.PCG64(config.rng_seed))
+    # In any summation order, y[i] * (xa[i] @ w) lies within gamma_{d+2}
+    # * sum_j |y[i] xa[i, j] w[j]| <= gamma_{d+2} * row_norm[i] * ||w|| of
+    # its exact value, so a bulk product and the step's own one differ by
+    # less than tol below: a bulk value at least tol from 1 tells on which
+    # side of 0 the step's g falls.
+    row_norm = np.abs(y) * np.sqrt(qdiag)
+    tol_scale = 4 * (d + 2) * np.finfo(float).eps
 
     trace: list[float] = []
     converged = False
     passes = 0
     for passes in range(1, config.max_passes + 1):
         pg_max, pg_min = -np.inf, np.inf
-        for i in rng.permutation(n):
-            g = y[i] * (xa[i] @ w) - 1.0
-            if alpha[i] <= 0.0:
-                pg = min(g, 0.0)
-            elif alpha[i] >= cvec[i]:
-                pg = max(g, 0.0)
-            else:
-                pg = g
-            pg_max = max(pg_max, pg)
-            pg_min = min(pg_min, pg)
-            if pg != 0.0:
-                new = min(max(alpha[i] - g / qdiag[i], 0.0), cvec[i])
-                if new != alpha[i]:
-                    w += (new - alpha[i]) * y[i] * xa[i]
-                    alpha[i] = new
+        perm = rng.permutation(n)
+        visited = 0
+        k = 0
+        while k < n:
+            base, k = k, n
+            # Certify in bulk the visits that cannot move alpha: alpha = 0
+            # with g >= 0, or alpha = C with g <= 0. Every other visit from
+            # base on runs the plain coordinate step, until one moves w.
+            yxw = y * (xa @ w)
+            tol = (tol_scale * np.sqrt(w @ w)) * row_norm
+            idle = (((alpha <= 0.0) & (yxw - tol >= 1.0))
+                    | ((alpha >= cvec) & (yxw + tol <= 1.0)))
+            for j in (~idle[perm[base:]]).nonzero()[0]:
+                i = perm[base + j]
+                visited += 1
+                g = y[i] * (xa[i] @ w) - 1.0
+                if alpha[i] <= 0.0:
+                    pg = min(g, 0.0)
+                elif alpha[i] >= cvec[i]:
+                    pg = max(g, 0.0)
+                else:
+                    pg = g
+                pg_max = max(pg_max, pg)
+                pg_min = min(pg_min, pg)
+                if pg != 0.0:
+                    new = min(max(alpha[i] - g / qdiag[i], 0.0), cvec[i])
+                    if new != alpha[i]:
+                        w += (new - alpha[i]) * y[i] * xa[i]
+                        alpha[i] = new
+                        k = base + j + 1
+                        break
+        if visited < n:  # a certified visit has pg = 0
+            pg_max, pg_min = max(pg_max, 0.0), min(pg_min, 0.0)
         trace.append(float(alpha.sum() - 0.5 * (w @ w)))
         if pg_max - pg_min < config.tolerance:
             converged = True
@@ -181,7 +211,7 @@ def train_svm(
         feature_names=tuple(feature_names),
     )
     report = TrainReport(
-        dual_trace=trace,
+        dual_trace=np.array(trace),
         passes=passes,
         converged=converged,
     )

@@ -1,4 +1,5 @@
 import ast
+import re
 import warnings
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from ucsm import cli
 from ucsm.grid import bundled_case_text, load_bundled_case
 from ucsm.scenarios import dataset_from_csv, generate_dataset
-from ucsm.svm import SvmConfig, model_from_text
+from ucsm.svm import SvmConfig, fit_standardizer, model_from_text, train_svm
 from ucsm.tsuc import DEFAULT_GAP_TOL, TsucInstance
 
 
@@ -64,6 +65,19 @@ def test_train_writes_model(model_file, capsys):
     case = load_bundled_case("sixbus")
     assert tuple(hp.feature_names) == tuple(case.feature_names())
     assert margin > 0.0
+
+
+def test_train_prints_passes_and_convergence(tmp_path, data_file, capsys):
+    ds = dataset_from_csv(data_file.read_text())
+    xtr, ytr = ds.train
+    std = fit_standardizer(xtr)
+    _, rep = train_svm(std.transform(xtr), ytr, SvmConfig(max_passes=20),
+                       tuple(ds.feature_names))
+    rc = cli.main(["train", "--data", str(data_file), "--max-passes", "20",
+                   "--out", str(tmp_path / "m.model")])
+    assert rc == cli.EXIT_OK
+    assert (f"  converged: {rep.converged}  passes: {rep.passes}\n"
+            in capsys.readouterr().out)
 
 
 def test_train_deterministic(tmp_path, data_file, model_file):
@@ -525,4 +539,11 @@ def test_bench_runs_and_writes_csv(tmp_path, capsys):
     assert rc == cli.EXIT_OK
     body = out.read_text()
     assert body.splitlines()[0].startswith("seed,mode,")
-    assert "cost" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "cost" in text
+    # The kept trial's training passes and convergence, on both reports.
+    shown = re.search(r"^classifier: .* margin \S+ passes (\d+) converged "
+                      r"(True|False)$", text, re.M)
+    written = re.search(r"^# confusion .* accuracy=\S+ passes=(\d+) "
+                        r"converged=(True|False)$", body, re.M)
+    assert shown and written and shown.groups() == written.groups()

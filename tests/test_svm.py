@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from ucsm.errors import DimensionMismatch, FeatureMismatch, SingleClassData
-from ucsm.svm import (ConfusionMatrix, SvmConfig, compute_margin, evaluate,
-                      fit_standardizer, model_from_text, model_to_text,
-                      train_svm, unscale_hyperplane)
+from ucsm.svm import (ConfusionMatrix, Hyperplane, SvmConfig, compute_margin,
+                      evaluate, fit_standardizer, model_from_text,
+                      model_to_text, train_svm, unscale_hyperplane)
 
 
 def test_two_point_toy_recovers_unit_hyperplane():
@@ -145,3 +145,95 @@ def test_model_text_round_trip(rng):
 def test_model_from_text_missing_field():
     with pytest.raises(FeatureMismatch):
         model_from_text("w_scaled=1.0\nb_scaled=0.0\n")
+
+
+def _reference_train(x, y, config):
+    """One coordinate step per visit, every visit: the loop ``train_svm``
+    must reproduce bit for bit. Returns (w_aug, trace, passes, converged)."""
+    n, d = x.shape
+    xa = np.hstack([x, np.ones((n, 1))])
+    cvec = np.where(y > 0, config.c_positive, config.c_negative)
+    qdiag = np.einsum("ij,ij->i", xa, xa)
+    alpha = np.zeros(n)
+    w = np.zeros(d + 1)
+    rng = np.random.Generator(np.random.PCG64(config.rng_seed))
+
+    trace = []
+    converged = False
+    passes = 0
+    for passes in range(1, config.max_passes + 1):
+        pg_max, pg_min = -np.inf, np.inf
+        for i in rng.permutation(n):
+            g = y[i] * (xa[i] @ w) - 1.0
+            if alpha[i] <= 0.0:
+                pg = min(g, 0.0)
+            elif alpha[i] >= cvec[i]:
+                pg = max(g, 0.0)
+            else:
+                pg = g
+            pg_max = max(pg_max, pg)
+            pg_min = min(pg_min, pg)
+            if pg != 0.0:
+                new = min(max(alpha[i] - g / qdiag[i], 0.0), cvec[i])
+                if new != alpha[i]:
+                    w += (new - alpha[i]) * y[i] * xa[i]
+                    alpha[i] = new
+        trace.append(float(alpha.sum() - 0.5 * (w @ w)))
+        if pg_max - pg_min < config.tolerance:
+            converged = True
+            break
+    return w, trace, passes, converged
+
+
+def _equivalence_inputs():
+    toy = (np.array([[1.0], [-1.0]]), np.array([1.0, -1.0]))
+    # Each point of the first 8 again with the opposite label: their
+    # alphas end at C, where the bulk test must prove g <= 0.
+    base = np.random.default_rng(3).normal(size=(20, 2))
+    label = np.where(base[:, 0] > 0, 1.0, -1.0)
+    dup = (np.vstack([base, base[:8]]),
+           np.concatenate([label, -label[:8]]))
+    # Integer lattice points, five copies each: w reaches values such as
+    # (1, 1/3, 0) and many y*(xa @ w) come out exactly 1.
+    pts = np.array([[1, 0], [-1, 0], [2, 1], [-2, -1], [1, 2], [-1, -2],
+                    [3, 0], [-3, 0]], dtype=float)
+    lattice = (np.repeat(pts, 5, axis=0),
+               np.repeat(np.array([1.0, -1.0] * 4), 5))
+    # Ten copies each of 8 points with features of mixed scale: copies
+    # left at alpha = 0 sit on the margin, where the bulk and per-row
+    # products round apart and only the tolerance keeps them on the step.
+    draw = np.random.default_rng(2)
+    pts = draw.normal(size=(8, 5)) * np.exp(draw.normal(size=(8, 5)))
+    copies = (np.repeat(pts, 10, axis=0),
+              np.repeat(np.where(pts[:, 0] > 0, 1.0, -1.0), 10))
+    return {"toy": toy, "dup": dup, "lattice": lattice, "copies": copies}
+
+
+@pytest.fixture(scope="module")
+def sixbus_train_split(sixbus):
+    from ucsm.scenarios import generate_dataset
+    xtr, ytr = generate_dataset(sixbus, 300, 0).train
+    return fit_standardizer(xtr).transform(xtr), ytr
+
+
+@pytest.mark.parametrize("max_passes", [1, 7, 300])
+@pytest.mark.parametrize("name", ["toy", "dup", "lattice", "copies",
+                                  "sixbus"])
+def test_bulk_certified_training_matches_every_visit(name, max_passes,
+                                                     sixbus_train_split):
+    """Skipping the visits certified idle changes no bit of the result."""
+    x, y = (sixbus_train_split if name == "sixbus"
+            else _equivalence_inputs()[name])
+    names = tuple(f"x{j}" for j in range(x.shape[1]))
+    for seed in range(3):
+        cfg = SvmConfig(c_positive=1.0 if name != "toy" else 10.0,
+                        c_negative=10.0, max_passes=max_passes,
+                        rng_seed=seed)
+        w, trace, passes, converged = _reference_train(x, y, cfg)
+        h, rep = train_svm(x, y, cfg, names)
+        assert h.weights_scaled.tobytes() == w[:-1].tobytes()
+        assert repr(h.bias_scaled) == repr(float(w[-1]))
+        assert rep.dual_trace.tobytes() == np.array(trace).tobytes()
+        assert (rep.passes, rep.converged) == (passes, converged)
+        ref = Hyperplane(w[:-1], float(w[-1]), w[:-1], float(w[-1]), names)
+        assert repr(rep.margin) == repr(compute_margin(ref, x, y))
