@@ -48,8 +48,11 @@ class BenchmarkReport:
                 yield f, s
 
     def cost_errors_pct(self) -> np.ndarray:
+        """|surrogate - full| of each pair in percent of |full|; for a full
+        objective of 0, 0 if the surrogate's is 0 too and inf otherwise."""
         return np.array([
-            100.0 * abs(s.objective - f.objective) / f.objective
+            100.0 * abs(s.objective - f.objective) / abs(f.objective)
+            if f.objective else (np.inf if s.objective else 0.0)
             for f, s in self._paired()
         ])
 

@@ -271,15 +271,19 @@ def _suite_tsuc(rng) -> list[str]:
     fails = []
     for k in range(5):
         loads = rng.uniform(20, 50, size=2)
+        limit = float(rng.uniform(40, 90))
+        # Start-up and shut-down costs of either sign: the MILP must make y
+        # and z the switches of u whatever the cost.
+        su, sd = rng.uniform(-150, 300, size=2), rng.uniform(-60, 60, size=2)
         case = SystemCase(
             buses=(Bus(1, 0.0), Bus(2, float(loads[0])), Bus(3, float(loads[1]))),
-            lines=(Line(1, 2, 0.1, float(rng.uniform(40, 90))),
+            lines=(Line(1, 2, 0.1, limit),
                    Line(2, 3, 0.12, 120.0), Line(1, 3, 0.09, 120.0)),
             generators=(
-                Generator(1, 10.0, 80.0, 60.0, 60.0, 2, 1, 300.0, 50.0,
-                          20.0, 12.0, 0.02),
-                Generator(3, 5.0, 60.0, 50.0, 50.0, 1, 2, 150.0, 40.0,
-                          15.0, 20.0, 0.03),
+                Generator(1, 10.0, 80.0, 60.0, 60.0, 2, 1, float(su[0]),
+                          float(sd[0]), 20.0, 12.0, 0.02),
+                Generator(3, 5.0, 60.0, 50.0, 50.0, 1, 2, float(su[1]),
+                          float(sd[1]), 15.0, 20.0, 0.03),
             ),
             wind_units=(WindUnit(2, (5.0, 15.0), (1.0, 4.0)),),
             ref_bus=1, name="validate3")
@@ -356,7 +360,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     g = sub.add_parser("gen-data", help="generate a labeled DCOPF dataset")
     g.add_argument("--case", required=True)
     g.add_argument("--samples", type=_number(50), default=1000)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_number(0), default=0)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen_data)
 
@@ -371,7 +375,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                    default=svm_defaults.tolerance)
     t.add_argument("--max-passes", type=_number(1),
                    default=svm_defaults.max_passes)
-    t.add_argument("--seed", type=int, default=svm_defaults.rng_seed)
+    t.add_argument("--seed", type=_number(0), default=svm_defaults.rng_seed)
     t.set_defaults(func=cmd_train)
 
     def instance_flags(cmd: argparse.ArgumentParser) -> None:
@@ -383,7 +387,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                          default=TsucInstance.pwl_segments)
         cmd.add_argument("--gap-tol", type=_number(0.0, float),
                          default=DEFAULT_GAP_TOL)
-        cmd.add_argument("--seed", type=int, default=0)
+        cmd.add_argument("--seed", type=_number(0), default=0)
         cmd.add_argument("--out")
 
     s = sub.add_parser("solve", help="solve the stochastic unit commitment")
@@ -402,7 +406,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     v = sub.add_parser("validate", help="run the oracle property suites")
     v.add_argument("--case")
     v.add_argument("--suite", choices=list(SUITES))
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=_number(0), default=0)
     v.set_defaults(func=cmd_validate)
     return p, sub.choices
 

@@ -112,7 +112,7 @@ def constraint_counts(n_lines: int, n_scenarios: int, horizon: int) -> dict:
 
 
 def minimal_transitions(u: np.ndarray, u0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest y/z consistent with the commitment path (no spurious pairs)."""
+    """The y/z of the commitment path: its start-ups and shut-downs."""
     prev = np.column_stack([u0, u[:, :-1]])
     delta = u - prev
     return (delta > 0).astype(int), (delta < 0).astype(int)
@@ -131,12 +131,13 @@ class _Milp:
     layout: u is hour-major so branching ties prefer earlier hours, y and z
     sit at n_u + u_idx and 2*n_u + u_idx, and delta follows them.
 
-    Eager rows: 5*G*T <= rows (transition and Rajan-Takriti min-up/min-down
-    pairs, the aggregated capacity link), per-(s,t) balance. Lazy families (the
-    exact capacity link per (g, s, t) and the dispatch table's ramp,
-    line-flow or surrogate rows per (s, r)) are appended to a_le/b_le only
-    when violated; the masks cap_on (G, S, T) and row_on (S, R) mark the
-    rows already in this pool.
+    Eager rows: 3*G*T <= rows (the Rajan-Takriti min-up/min-down pair and
+    the aggregated capacity link per (g, t)); equalities per (g, t) making y
+    and z the switches of u, exact for costs of any sign, then per (s, t)
+    balance. Lazy families (the exact capacity link per (g, s, t) and the
+    dispatch table's ramp, line-flow or surrogate rows per (s, r)) are
+    appended to a_le/b_le only when violated; the masks cap_on (G, S, T)
+    and row_on (S, R) mark the rows already in this pool.
     """
 
     def __init__(self, inst: TsucInstance, mats: GridMatrices | None = None):
@@ -207,29 +208,18 @@ class _Milp:
     def _build_eager_rows(self):
         inst, case = self.inst, self.inst.case
         G, S, T, n_u, u = self.G, self.S, self.T, self.n_u, self.u_idx
-        # 5*G*T rows: a transition pair and a Rajan-Takriti pair per (g, t),
-        # then the aggregated capacity link per (g, t). In both pairs j = 0
-        # acts on y and j = 1 on z, column (1 + j)*n_u + u.
-        self.a_le = np.zeros((5 * n_u, self.ncols))
-        self.b_le = np.zeros(5 * n_u)
-        tr, rt = self.a_le[:4 * n_u].reshape(2, G, T, 2, self.ncols)
-        b_tr, b_rt = self.b_le[:4 * n_u].reshape(2, G, T, 2)
-        g, t, j = np.indices((G, T, 2))
-        yz = (1 + j) * n_u + u[..., None]
-
-        # Transition pair: u_t - u_{t-1} - y_t <= 0 and
-        # u_{t-1} - u_t - z_t <= 0, with u_{-1} = u0 moved to the right.
-        sign = np.array([1.0, -1.0])
-        tr[g, t, j, u[..., None]] = sign
-        tr[g, t, j, yz] = -1.0
-        tr[g[:, 1:], t[:, 1:], j[:, 1:], u[:, :-1, None]] = -sign
-        b_tr[:, 0] = np.asarray(inst.initial_status, dtype=float)[:, None] * sign
-
-        # Rajan-Takriti pair: the starts of the last min_up hours
+        # 3*G*T rows: a Rajan-Takriti pair per (g, t), then the aggregated
+        # capacity link per (g, t). In the pair j = 0 acts on y and j = 1 on
+        # z, column (1 + j)*n_u + u: the starts of the last min_up hours
         # sum(y) - u_t <= 0 and the stops of the last min_down hours
         # sum(z) + u_t <= 1, both cut at hour 0.
+        self.a_le = np.zeros((3 * n_u, self.ncols))
+        self.b_le = np.zeros(3 * n_u)
+        rt = self.a_le[:2 * n_u].reshape(G, T, 2, self.ncols)
+        g, t, j = np.indices((G, T, 2))
+        yz = (1 + j) * n_u + u[..., None]
         rt[g, t, j, u[..., None]] = 2 * j - 1
-        b_rt[:] = j
+        self.b_le[:2 * n_u] = j.ravel()
         span = np.array([(gen.min_up, gen.min_down) for gen in case.generators])
         g, t, j, tau = np.indices((G, T, 2, T))
         rt[g, t, j, yz[g, tau, j]] = (t - span[g, j] < tau) & (tau <= t)
@@ -238,17 +228,25 @@ class _Milp:
         # rows sum_k delta <= (pmax - pmin) u. The individual rows live in
         # the lazy pool; scenarios are statistically alike, so few of them
         # ever activate while the eager system stays S times smaller.
-        agg = self.a_le[4 * n_u:].reshape(G, T, self.ncols)
+        agg = self.a_le[2 * n_u:].reshape(G, T, self.ncols)
         g, t = np.indices((G, T))
         agg[g[..., None], t[..., None],
             self.d_idx.transpose(0, 2, 1, 3).reshape(G, T, -1)] = 1.0
         agg[g, t, u] = -S * (self.pmax - self.pmin)[:, None]
 
-        # System balance per (s, t): sum_g p = load_total - wind_total.
+        # Transition per (g, t): u_t - u_{t-1} - y_t + z_t = 0, with
+        # u_{-1} = u0 moved to the right. Then the system balance per
+        # (s, t): sum_g p = load_total - wind_total.
+        tr = np.zeros((G, T, self.ncols))
+        tr[g, t, u], tr[g, t, n_u + u], tr[g, t, 2 * n_u + u] = 1.0, -1.0, 1.0
+        tr[g[:, 1:], t[:, 1:], u[:, :-1]] = -1.0
+        b_tr = np.zeros((G, T))
+        b_tr[:, 0] = inst.initial_status
         hour = np.broadcast_to(np.eye(T)[:, None, :], (S, T, G, T))
-        self.a_eq = self._p_rows(hour.reshape(-1, G, T),
-                                 np.repeat(np.arange(S), T))
-        self.b_eq = (self.load_total - self.wind_total).ravel()
+        self.a_eq = np.vstack([tr.reshape(n_u, -1), self._p_rows(
+            hour.reshape(-1, G, T), np.repeat(np.arange(S), T))])
+        self.b_eq = np.concatenate([b_tr.ravel(),
+                                    (self.load_total - self.wind_total).ravel()])
 
     def _build_dispatch_rows(self):
         """One table of the per-scenario dispatch rows, shared by lazy
@@ -362,7 +360,8 @@ def _solve_node(
 
     ``base`` is a previously solved LP — the parent node or the previous
     lazy round — whose basis warm starts each solve; the root starts from
-    the slack basis, dual feasible as all costs are >= 0 and lower bounds 0.
+    the slack basis, dual feasible when all costs are >= 0 (lower bounds
+    are 0), and otherwise finished by the primal cleanup.
     """
     while True:
         n, m_eq, m_le = milp.ncols, milp.b_eq.size, milp.b_le.size

@@ -347,6 +347,9 @@ def test_case_without_generators_exit_2(tmp_path, capsys, command):
     ["solve", "--gap-tol", "-0.5"],
     ["bench", "--gap-tol", "nan"],
     ["bench", "--gap-tol", "-0.5"],
+    ["solve", "--seed", "-1"],
+    ["bench", "--seed", "-1"],
+    ["gen-data", "--seed", "-1"],
 ])
 def test_count_below_bound_exit_2(tmp_path, capsys, command):
     with pytest.raises(SystemExit) as exc:
@@ -356,13 +359,27 @@ def test_count_below_bound_exit_2(tmp_path, capsys, command):
     assert f"argument {command[1]}: must be >= " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["train", "--data", "d.csv", "--out", "m.model", "--seed", "-1"],
+    ["validate", "--seed", "-1"],
+])
+def test_negative_seed_exit_2(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command)
+    assert exc.value.code == cli.EXIT_INPUT
+    assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_config_count_below_bound_exit_2(tmp_path, capsys):
     cfg = tmp_path / "ucsm.cfg"
-    cfg.write_text("horizon = 0\n")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--config", str(cfg), "solve", "--case", "sixbus"])
-    assert exc.value.code == cli.EXIT_INPUT
-    assert "argument --horizon: must be >= 1, got 0" in capsys.readouterr().err
+    for line, message in (
+            ("horizon = 0", "argument --horizon: must be >= 1, got 0"),
+            ("seed = -2", "argument --seed: must be >= 0, got -2")):
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--config", str(cfg), "solve", "--case", "sixbus"])
+        assert exc.value.code == cli.EXIT_INPUT
+        assert message in capsys.readouterr().err
 
 
 def test_train_defaults_are_svm_config_defaults():
@@ -519,6 +536,21 @@ def test_validate_tsuc_suite(capsys):
     rc = cli.main(["validate", "--suite", "tsuc", "--seed", "2"])
     assert rc == cli.EXIT_OK
     assert "tsuc: PASS" in capsys.readouterr().out
+
+
+def test_bench_cost_error_is_relative_to_abs_full():
+    """Each pair's cost error is |surrogate - full| over |full|: positive
+    for a negative full objective, 0 when both are 0, inf when only the
+    full objective is 0."""
+    from ucsm.bench import BenchmarkReport, TrialRow
+    pairs = [(-200.0, -202.0), (0.0, 0.0), (0.0, 5.0), (400.0, 402.0)]
+    report = BenchmarkReport(rows=[
+        TrialRow(seed, mode, obj, 1.0, 1, 1, "optimal")
+        for seed, objs in enumerate(pairs)
+        for mode, obj in zip(("full", "surrogate"), objs)])
+    np.testing.assert_array_equal(report.cost_errors_pct(),
+                                  [1.0, 0.0, np.inf, 0.5])
+    assert "cost error %: min 0.00 avg inf max inf" in report.summary_text()
 
 
 def test_bench_every_trial_failed_exit_3(capsys):

@@ -151,6 +151,41 @@ def test_full_matches_brute_force(tiny_case):
     assert got.objective == pytest.approx(ref.objective, rel=1e-6)
 
 
+def _reprice(inst, u, p):
+    """Expected cost of a commitment and its (G, S, T) dispatch, from the
+    case's start/stop costs, no-load costs and ``PwlCost.value``."""
+    y, z = minimal_transitions(u, inst.initial_status)
+    cost = 0.0
+    for g, gen in enumerate(inst.case.generators):
+        curve = pwl_cost(gen, inst.pwl_segments)
+        cost += gen.startup_cost * y[g].sum() + gen.shutdown_cost * z[g].sum()
+        for s, scen in enumerate(inst.scenarios):
+            for t in range(inst.horizon):
+                if u[g, t]:
+                    cost += scen.probability * (gen.c0 + curve.value(p[g, s, t]))
+    return cost
+
+
+@pytest.mark.parametrize("unit, field, value", [
+    (0, "startup_cost", -800.0),   # the bus-1 unit
+    (2, "shutdown_cost", -120.0),  # the bus-6 unit
+])
+def test_negative_switch_cost_is_exact(sixbus, unit, field, value):
+    """A negative start-up or shut-down cost cannot buy phantom switches:
+    the objective is the oracle's and its own schedule's re-priced cost."""
+    gens = list(sixbus.generators)
+    gens[unit] = replace(gens[unit], **{field: value})
+    case = replace(sixbus, generators=tuple(gens))
+    inst = TsucInstance(case, build_scenarios(case, 2, 4, 0), 4,
+                        TsucMode.FULL_NETWORK, pwl_segments=3)
+    got = solve_tsuc(inst, gap_tol=1e-6)
+    ref = brute_force_tsuc(inst)
+    assert got.status is ref.status is TsucStatus.OPTIMAL
+    assert got.objective == pytest.approx(ref.objective, rel=1e-6)
+    assert got.objective == pytest.approx(
+        _reprice(inst, got.schedule.u, got.dispatch), rel=1e-6)
+
+
 def test_node_limit_keeps_open_bound_in_gap(tiny_case, monkeypatch):
     """Stopped at the root, the search still reports the root's bound:
     the open node stays in the gap."""
@@ -530,18 +565,21 @@ def _reference_rows(milp, x):
                 ref["c"][d_cols(g, s, t)] = pi[s] * curve.slopes
                 ref["hi"][d_cols(g, s, t)] = curve.widths
 
-    a_le, b_le = [], []
+    # Transition equalities per (g, t): u_t - u_{t-1} - y_t + z_t = 0,
+    # u_{-1} = u0 on the right.
+    a_eq, b_eq = [], []
     u0 = inst.initial_status
     for g in range(G):
         for t in range(T):
-            for sign, off in ((1.0, n_u), (-1.0, 2 * n_u)):
-                row = np.zeros(ncols)
-                row[u_col(g, t)] = sign
-                row[off + u_col(g, t)] = -1.0
-                if t:
-                    row[u_col(g, t - 1)] = -sign
-                a_le.append(row)
-                b_le.append(sign * float(u0[g]) if t == 0 else 0.0)
+            row = np.zeros(ncols)
+            row[u_col(g, t)] = 1.0
+            row[n_u + u_col(g, t)] = -1.0
+            row[2 * n_u + u_col(g, t)] = 1.0
+            if t:
+                row[u_col(g, t - 1)] = -1.0
+            a_eq.append(row)
+            b_eq.append(float(u0[g]) if t == 0 else 0.0)
+    a_le, b_le = [], []
     # Rajan-Takriti rows per (g, t, j): the y (j = 0) or z (j = 1) of the
     # last min_up or min_down hours, cut at hour 0, against u_t.
     for g, gen in enumerate(case.generators):
@@ -562,7 +600,6 @@ def _reference_rows(milp, x):
             row[u_col(g, t)] = -S * (pmax[g] - pmin[g])
             a_le.append(row)
             b_le.append(0.0)
-    a_eq, b_eq = [], []
     for s in range(S):
         for t in range(T):
             hour = np.zeros(n_u)
@@ -643,8 +680,7 @@ def _reference_rows(milp, x):
 def test_milp_matches_row_rules(grid24, sixbus):
     """Every array the MILP hands the simplex, its dispatch table, and the
     rows it pools for the root LP's x, equal the per-row construction byte
-    for byte, row order and the -0.0 right-hand sides of the t = 0 shut-down
-    rows included."""
+    for byte, row order included."""
     tiny = make_tiny_case(line_limit=40.0)
     cap = make_hyperplane(tiny, w_p=np.array([-1.0, 0.0]), bias=40.0)
     cases = [
@@ -665,8 +701,6 @@ def test_milp_matches_row_rules(grid24, sixbus):
         for name in ("c", "lo", "hi", "a_eq", "b_eq", "a_le", "b_le",
                      "row_coef", "row_rhs", "row_tol"):
             assert getattr(milp, name).tobytes() == ref[name].tobytes(), name
-        # Each t = 0 shut-down row reads -u0 on the right: -0.0 when off.
-        assert np.signbit(milp.b_le[1:2 * milp.n_u:2 * T]).all()
         assert milp.dispatch_of(sol.x).tobytes() == ref["dispatch"].tobytes()
         eager = milp.b_le.size
         assert milp.add_violated_rows(sol.x) == ref["pool_b"].size
@@ -675,6 +709,35 @@ def test_milp_matches_row_rules(grid24, sixbus):
         pooled[0] += n_cap
         pooled[1] += ref["pool_b"].size - n_cap
     assert pooled[0] and pooled[1]  # both lazy families are compared
+
+
+def test_transition_rows_fix_the_switches(sixbus, grid24, rng):
+    """The eager system has 3*G*T <= rows and G*T + S*T equalities. A
+    repaired binary u with its transitions satisfies every eager <= row
+    (at zero dispatch) and every transition equality; raising any single
+    y or z by 1 breaks an equality."""
+    for case, S, T in ((sixbus, 2, 4), (grid24, 2, 6)):
+        scens = build_scenarios(case, S, T, 0)
+        for u0 in (np.zeros(case.n_gens, int), np.ones(case.n_gens, int)):
+            milp = build_milp(TsucInstance(case, scens, T,
+                                           TsucMode.FULL_NETWORK,
+                                           initial_status=u0))
+            n_u = milp.n_u
+            assert milp.b_le.size == 3 * n_u
+            assert milp.b_eq.size == n_u + S * T
+            a_tr, b_tr = milp.a_eq[:n_u], milp.b_eq[:n_u]
+            for _ in range(5):
+                u = tsuc._repair_schedule(
+                    case, rng.integers(0, 2, size=(case.n_gens, T)), u0)
+                x = np.zeros(milp.ncols)
+                for k, v in enumerate((u, *minimal_transitions(u, u0))):
+                    x[k * n_u + milp.u_idx] = v
+                assert (milp.a_le @ x <= milp.b_le).all()
+                np.testing.assert_array_equal(a_tr @ x, b_tr)
+                for col in range(n_u, 3 * n_u):
+                    bumped = x.copy()
+                    bumped[col] += 1.0
+                    assert (a_tr @ bumped != b_tr).any()
 
 
 def _window_rows(milp):
@@ -696,11 +759,12 @@ def _window_rows(milp):
 
 
 def test_commitment_rows_say_the_repair_rule(sixbus, grid24):
-    """On every binary path of sixbus at T = 4, the commitment rows (every
-    eager <= row before the aggregated capacity link) hold at (u, its
-    minimal transitions) exactly when ``schedule_is_logical`` does. At the
-    uc-exact shape, appending the window rows to the root LP changes
-    neither its status nor its objective."""
+    """On every binary path of sixbus at T = 4, the commitment rows (the
+    transition equalities and every eager <= row before the aggregated
+    capacity link) hold at (u, its minimal transitions) exactly when
+    ``schedule_is_logical`` does. At the uc-exact shape, appending the
+    window rows to the root LP changes neither its status nor its
+    objective."""
     T = 4
     G = sixbus.n_gens
     paths = np.array(list(itertools.product((0, 1), repeat=G * T))
@@ -710,12 +774,14 @@ def test_commitment_rows_say_the_repair_rule(sixbus, grid24):
         u0 = np.array(u0)
         milp = build_milp(TsucInstance(sixbus, scens, T, TsucMode.FULL_NETWORK,
                                        initial_status=u0))
-        rows = slice(0, 4 * milp.n_u)
+        rows = slice(0, 2 * milp.n_u)
+        tr = slice(0, milp.n_u)
         x = np.zeros((len(paths), milp.ncols))
         for u, xi in zip(paths, x):
             for k, v in enumerate((u, *minimal_transitions(u, u0))):
                 xi[k * milp.n_u + milp.u_idx] = v
         holds = (x @ milp.a_le[rows].T <= milp.b_le[rows]).all(axis=1)
+        assert (x @ milp.a_eq[tr].T == milp.b_eq[tr]).all()
         logical = [schedule_is_logical(sixbus, u, u0) for u in paths]
         np.testing.assert_array_equal(holds, logical)
         assert 0 < holds.sum() < len(paths)
